@@ -269,39 +269,26 @@ TEST(ScanGrid, StructuralAutoRangeMatchesBehavioralAutoRange) {
   EXPECT_TRUE(stepped) << "the sagged rail must force a real range step";
 }
 
-TEST(ScanGrid, StructuralCompiledMatchesEventDrivenAcrossThreads) {
-  // The compiled kernel is the structural default; the event-driven
-  // scheduler stays the oracle. Pin one grid to the oracle through an
-  // engine factory and require bit-identity from compiled grids at 1, 2
-  // and 8 threads.
+TEST(ScanGrid, StructuralDeterministicAcrossThreadCounts) {
+  // Gate-level sites own private simulators, so the worker count must not
+  // change a single word: the 1-thread structural grid is the reference for
+  // 2 and 8 threads.
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 2, 2);
   auto config = base_config(1);
   config.fidelity = SiteFidelity::kStructural;
   config.samples_per_site = 4;
+  ScanGrid reference{fp, config, test_rails(fp)};
+  const auto expected = reference.run();
 
-  auto oracle_config = config;
-  oracle_config.engine_factory = [](std::uint32_t,
-                                    const analog::RailPair& rails,
-                                    const core::EngineSiteOptions& options) {
-    const auto& model = calib::calibrated().model;
-    auto event_options = options;
-    event_options.structural_compile = false;
-    return core::make_structural_engine(
-        calib::make_paper_array(model),
-        core::PulseGenerator{model.pg_config()}, rails,
-        core::ThermometerConfig{}.control_period, event_options);
-  };
-  ScanGrid oracle{fp, oracle_config, test_rails(fp)};
-  const auto expected = oracle.run();
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    auto compiled_config = config;
-    compiled_config.threads = threads;
-    ScanGrid compiled{fp, compiled_config, test_rails(fp)};
-    const auto actual = compiled.run();
+  for (const std::size_t threads : {2u, 8u}) {
+    auto threaded_config = config;
+    threaded_config.threads = threads;
+    ScanGrid threaded{fp, threaded_config, test_rails(fp)};
+    const auto actual = threaded.run();
     ASSERT_EQ(actual.sites.size(), expected.sites.size());
     for (std::size_t i = 0; i < expected.sites.size(); ++i) {
       for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_TRUE(actual.sites[i].valid[k]);
         EXPECT_EQ(actual.sites[i].samples[k].word,
                   expected.sites[i].samples[k].word)
             << threads << " threads: site " << i << " sample " << k;
