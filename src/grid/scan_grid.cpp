@@ -740,6 +740,7 @@ void ScanGrid::aggregate(RunResult& result) {
         if (got == 0) break;
         any = true;
         drained_counter.increment(chunk.size());
+        if (store != nullptr) serve_ingested->increment(chunk.size());
 
         // Streaming ENC + voltage conversion over the chunk's undecoded run
         // in one span each; the bins land back in their samples before the
@@ -780,7 +781,6 @@ void ScanGrid::aggregate(RunResult& result) {
             rec.latency_us = s.wall_us;
             rec.in_range = bin.in_range();
             store->ingest(rec);
-            serve_ingested->increment();
           }
           latency_vals.push_back(s.wall_us);
           if (bin.in_range()) volt_vals.push_back(bin.estimate().value());

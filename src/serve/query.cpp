@@ -27,7 +27,7 @@ const SiteSnapshot* QueryEngine::site(std::uint32_t site) const {
   if (!shard) return nullptr;  // shard has not published yet
   const std::size_t index = site / config.shards;
   if (index >= shard->sites.size()) return nullptr;
-  return &shard->sites[index];
+  return shard->sites[index].get();
 }
 
 std::optional<SiteLatest> QueryEngine::latest(std::uint32_t site_id) const {

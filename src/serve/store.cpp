@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 
 #include "util/error.h"
 
@@ -21,6 +22,10 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
     std::uint64_t out_of_range = 0;
     std::uint64_t invalid = 0;
     WindowRing windows;
+    // The site changed since the last publication and is listed in
+    // `dirty`. Sites start dirty, so the first publish covers sites that
+    // were never ingested.
+    bool dirty = true;
 
     explicit SiteState(const WindowConfig& config) : windows(config) {}
   };
@@ -34,6 +39,15 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   TopKDroop top_droop;
   std::uint64_t ingested = 0;
   std::size_t until_publish = 0;
+  // Shard-local indices of the dirty sites; capacity sites.size(), so
+  // ingest never allocates. Declared after the per-ingest counters so
+  // that `ingested` and `until_publish` stay off the cache line that
+  // readers lock in snapshot().
+  std::vector<std::uint32_t> dirty;
+  // The newest immutable snapshot of every site, parallel to site_ids.
+  // Each publish copies this pointer vector, so clean sites are shared
+  // with earlier publications instead of rebuilt.
+  std::vector<std::shared_ptr<const SiteSnapshot>> site_snaps;
 
   // --- shared ----------------------------------------------------------
   // Live mirror of `ingested` (relaxed store per ingest, read anywhere).
@@ -57,12 +71,15 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
       site_ids.push_back(site);
       sites.emplace_back(config.window);
     }
+    dirty.resize(sites.size());
+    std::iota(dirty.begin(), dirty.end(), 0u);
+    site_snaps.resize(sites.size());
   }
 
-  [[nodiscard]] SiteState& site_state(std::uint32_t site,
-                                      std::size_t shards) {
+  [[nodiscard]] static std::uint32_t local_index(std::uint32_t site,
+                                                 std::size_t shards) {
     // Round-robin partition: the shard's k-th site is shard + k·shards.
-    return sites[site / shards];
+    return static_cast<std::uint32_t>(site / shards);
   }
 };
 
@@ -83,7 +100,12 @@ TelemetryStore::~TelemetryStore() = default;
 void TelemetryStore::ingest(const IngestRecord& record) {
   PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
   Shard& shard = *shards_[shard_of(record.site)];
-  Shard::SiteState& site = shard.site_state(record.site, config_.shards);
+  const std::uint32_t index = Shard::local_index(record.site, config_.shards);
+  Shard::SiteState& site = shard.sites[index];
+  if (!site.dirty) {
+    site.dirty = true;
+    shard.dirty.push_back(index);
+  }
 
   ++shard.ingested;
   ++site.ingested;
@@ -126,19 +148,23 @@ void TelemetryStore::publish(std::size_t shard_index) {
   snap->voltage_stats = shard.voltage_stats;
   snap->latency_stats = shard.latency_stats;
   snap->top_droop = shard.top_droop.top();
-  snap->sites.reserve(shard.sites.size());
-  for (std::size_t i = 0; i < shard.sites.size(); ++i) {
-    const Shard::SiteState& s = shard.sites[i];
-    SiteSnapshot site;
-    site.site = shard.site_ids[i];
-    site.latest = s.latest;
-    site.ingested = s.ingested;
-    site.out_of_range = s.out_of_range;
-    site.invalid = s.invalid;
-    site.latest_epoch = s.windows.latest_epoch();
-    site.windows = s.windows.slots();
-    snap->sites.push_back(std::move(site));
+  // Copy-on-write: rebuild only the sites ingested since the last publish;
+  // every other site keeps sharing its earlier immutable snapshot.
+  for (const std::uint32_t index : shard.dirty) {
+    Shard::SiteState& s = shard.sites[index];
+    s.dirty = false;
+    auto site = std::make_shared<SiteSnapshot>();
+    site->site = shard.site_ids[index];
+    site->latest = s.latest;
+    site->ingested = s.ingested;
+    site->out_of_range = s.out_of_range;
+    site->invalid = s.invalid;
+    site->latest_epoch = s.windows.latest_epoch();
+    site->windows = s.windows.slots();
+    shard.site_snaps[index] = std::move(site);
   }
+  shard.dirty.clear();
+  snap->sites = shard.site_snaps;
   {
     const std::lock_guard<std::mutex> guard(shard.snap_mutex);
     shard.published = std::move(snap);

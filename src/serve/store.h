@@ -24,10 +24,18 @@
 //     shard-local state plus one relaxed atomic mirror of the ingest count,
 //     so shards never contend.
 //   * Every `publish_every` ingests (and on publish()/publish_all()) a
-//     shard copies its state into an immutable ShardSnapshot and swaps it
-//     into the shard's snapshot slot. The slot is a shared_ptr guarded by
-//     a per-shard mutex held only for the pointer assignment/copy — never
-//     while building a snapshot or answering a query — so readers
+//     shard publishes an immutable ShardSnapshot, copy-on-write per site:
+//     ingest marks its site dirty, and publish builds a fresh immutable
+//     SiteSnapshot only for the dirty sites; every clean site shares the
+//     object of an earlier publish. The shard sketches, stats and top-k
+//     are copied whole. On the 256-site grid_monitor deployment a publish
+//     rebuilds ~11 sites instead of 256: the traced publish fell from
+//     ~600–690 µs to ~36–52 µs (DESIGN.md §13).
+//     The first publish builds every site, so never-ingested sites appear
+//     with latest.seq == 0.
+//   * The snapshot slot is a shared_ptr guarded by a per-shard mutex held
+//     only for the pointer assignment/copy — never while building a
+//     snapshot or answering a query — so readers
 //     (QueryEngine) never observe a torn state, can keep a snapshot alive
 //     as long as they like while the writer keeps publishing, and the
 //     ingest hot path touches the mutex only at publish boundaries. (A
@@ -123,7 +131,9 @@ struct ShardSnapshot {
   stats::OnlineStats voltage_stats;
   stats::OnlineStats latency_stats;
   std::vector<TopKDroop::Entry> top_droop;
-  std::vector<SiteSnapshot> sites;
+  // One per shard site, in shard-local order. A site not ingested since
+  // the previous publish shares that publish's object (copy-on-write).
+  std::vector<std::shared_ptr<const SiteSnapshot>> sites;
 };
 
 // A reader's consistent grab of the whole store: one immutable snapshot per

@@ -77,7 +77,7 @@ void run_concurrent_soak(std::size_t threads) {
         std::uint64_t site_total = 0;
         for (const auto& shard : query.view().shards) {
           if (!shard) continue;
-          for (const auto& site : shard->sites) site_total += site.ingested;
+          for (const auto& site : shard->sites) site_total += site->ingested;
         }
         EXPECT_EQ(site_total, published);
         (void)query.voltage_quantile(0.99);
@@ -172,6 +172,77 @@ TEST(ServeConcurrent, PinnedSnapshotsSurviveLaterPublishes) {
   pinned.refresh();
   EXPECT_EQ(pinned.published_seq(), 1001u);
   EXPECT_DOUBLE_EQ(pinned.latest(0)->volts, 0.8);
+}
+
+// Copy-on-write publication shares per-site snapshots between publishes, so
+// the last reference to a replaced site often dies on a reader thread. Two
+// readers keep a short queue of pinned views alive across the writer's
+// publishes (publish_every = 1) and check, when each view is dropped, that
+// it still reads what it read when pinned.
+TEST(ServeConcurrent, PinnedViewsAcrossPublishesReleaseOnReaders) {
+  constexpr std::uint32_t kSites = 4;
+  constexpr std::uint64_t kIngests = 4000;
+  StoreConfig config = make_config(kSites, 1);
+  config.publish_every = 1;
+  TelemetryStore store{config};
+
+  std::atomic<bool> done{false};
+  std::thread writer([&store, &done] {
+    stats::Xoshiro256 rng(5);
+    IngestRecord rec;
+    for (std::uint64_t k = 0; k < kIngests; ++k) {
+      rec.site = static_cast<std::uint32_t>(rng.uniform_index(kSites));
+      rec.timestamp = Picoseconds{static_cast<double>(k) * 900.0};
+      rec.volts = 0.8 + 0.2 * rng.uniform01();
+      rec.latency_us = 0.1;
+      store.ingest(rec);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  struct Pinned {
+    StoreView view;
+    std::vector<std::uint64_t> ingested;
+    std::vector<double> volts;
+  };
+  std::vector<std::thread> readers;
+  std::atomic<std::uint64_t> dropped{0};
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&store, &done, &dropped] {
+      std::vector<Pinned> queue;
+      const auto check_and_drop = [&queue, &dropped] {
+        const Pinned& oldest = queue.front();
+        std::uint64_t total = 0;
+        for (std::uint32_t s = 0; s < kSites; ++s) {
+          const SiteSnapshot& site = *oldest.view.shards[0]->sites[s];
+          EXPECT_EQ(site.ingested, oldest.ingested[s]);
+          EXPECT_EQ(site.latest.volts, oldest.volts[s]);
+          total += site.ingested;
+        }
+        EXPECT_EQ(total, oldest.view.shards[0]->seq);
+        queue.erase(queue.begin());
+        dropped.fetch_add(1, std::memory_order_relaxed);
+      };
+      do {
+        Pinned pin{store.snapshot(), {}, {}};
+        if (!pin.view.shards[0]) continue;
+        for (std::uint32_t s = 0; s < kSites; ++s) {
+          pin.ingested.push_back(pin.view.shards[0]->sites[s]->ingested);
+          pin.volts.push_back(pin.view.shards[0]->sites[s]->latest.volts);
+        }
+        queue.push_back(std::move(pin));
+        if (queue.size() > 8) check_and_drop();
+      } while (!done.load(std::memory_order_acquire));
+      while (!queue.empty()) check_and_drop();
+    });
+  }
+
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_GE(store.publishes(), 1000u);
+  EXPECT_GT(dropped.load(), 0u);
+  const QueryEngine query(store);
+  EXPECT_EQ(query.published_seq(), kIngests);
 }
 
 TEST(ServeConcurrent, ShardPartitionIsStable) {
