@@ -327,8 +327,12 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
         if (tally.latencies.size() < kMaxLatencySamples) {
           tally.latencies.push_back(lat);
         }
-        for (std::size_t i = 0; i < count; ++i) {
-          if (net::decode_span_sample(*frame, i, sample)) {
+        // One pass over the records: the span's type and size were checked
+        // once by span_sample_count; each record keeps its layout check.
+        const std::uint8_t* rec = frame->payload + net::kSpanHeaderBytes;
+        for (std::size_t i = 0; i < count;
+             ++i, rec += net::kSampleWireBytes) {
+          if (net::decode_sample(rec, sample)) {
             ++tally.frame_errors;
             break;
           }

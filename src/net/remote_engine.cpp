@@ -85,8 +85,9 @@ void RemoteEngineHandle::round_trip(const core::MeasureRequest& first,
       }
       const std::size_t base = out.size();
       out.resize(base + n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (auto err = decode_span_sample(*frame, i, out[base + i])) {
+      const std::uint8_t* rec = frame->payload + kSpanHeaderBytes;
+      for (std::size_t i = 0; i < n; ++i, rec += kSampleWireBytes) {
+        if (auto err = decode_sample(rec, out[base + i])) {
           out.resize(base);
           ++transport_faults_;
           throw_wire(*err, "span sample");

@@ -34,10 +34,6 @@ void put_f64(std::uint8_t* out, double v) {
   put_u64(out, bits);
 }
 
-std::uint16_t get_u16(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
-}
-
 std::uint32_t get_u32(const std::uint8_t* in) {
   return static_cast<std::uint32_t>(in[0]) |
          (static_cast<std::uint32_t>(in[1]) << 8) |
@@ -57,23 +53,33 @@ double get_f64(const std::uint8_t* in) {
   return v;
 }
 
-// --- CRC32 table (IEEE reflected, built once) -----------------------------
+// --- CRC32 tables (IEEE reflected, slicing-by-8, built once) --------------
+// tables[0] is the classic table-per-byte table; tables[k][i] is the CRC of
+// byte i followed by k zero bytes, so one step folds 8 input bytes at once.
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+const CrcTables& crc_tables() {
+  static const CrcTables tables = make_crc_tables();
+  return tables;
 }
 
 // Appends a frame of `type` with `payload_size` payload bytes filled by
@@ -134,10 +140,19 @@ const char* to_string(WireError error) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
+  const auto& t = crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  // Eight bytes per step: the first word absorbs the running CRC, then each
+  // byte indexes the table that shifts it past the bytes after it.
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = get_u32(data) ^ c;
+    const std::uint32_t hi = get_u32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

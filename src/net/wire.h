@@ -15,7 +15,7 @@
 //     and (b) pop whole spans into the existing drain path with zero
 //     per-sample dispatch;
 //   * decode is zero-copy in the sense that a parsed frame exposes the
-//     payload bytes in place — decode_samples() walks them straight into the
+//     payload bytes in place — decode_sample() walks them straight into the
 //     caller's RawSample span without intermediate buffers.
 //
 // Robustness contract (tests/test_wire_format.cpp): truncated input, flipped
@@ -84,7 +84,8 @@ inline constexpr std::size_t kMaxPayloadBytes = 1u << 20;
 //   | u8 target | u8 code | u8 word_width | u32 word_bits
 inline constexpr std::size_t kSampleWireBytes = 23;
 
-// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes.
+// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes: slicing-by-8,
+// byte-identical to the table-per-byte form.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 // --- sample codec ---------------------------------------------------------
@@ -206,7 +207,9 @@ class FrameParser {
 // when the remainder is not a whole number of records.
 [[nodiscard]] std::optional<WireError> span_sample_count(const Frame& frame,
                                                          std::size_t& out);
-// Decodes sample `index` of a span frame into `out`.
+// Decodes sample `index` of a span frame into `out`. Re-checks the frame on
+// every call; a loop over a whole span calls span_sample_count once and then
+// decode_sample on each kSampleWireBytes record.
 [[nodiscard]] std::optional<WireError> decode_span_sample(
     const Frame& frame, std::size_t index, core::RawSample& out);
 

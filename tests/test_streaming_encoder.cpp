@@ -132,8 +132,12 @@ TEST(DecodeLadder, BitIdenticalToKernelDecodeAcrossAllCodes) {
       const VoltageBin b = kernel.decode(array, word, code, pg.skew(code));
       ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
       ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-      if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value()) << "code " << int(c);
-      if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value()) << "code " << int(c);
+      if (a.lo) {
+        EXPECT_EQ(a.lo->value(), b.lo->value()) << "code " << int(c);
+      }
+      if (a.hi) {
+        EXPECT_EQ(a.hi->value(), b.hi->value()) << "code " << int(c);
+      }
     }
   }
 }
@@ -165,8 +169,8 @@ TEST(DecodeLadder, GndDecodeMirrorsKernel) {
         kernel.decode_gnd(array, word, code, pg.skew(code), v_nom);
     ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
     ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-    if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-    if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+    if (a.lo) { EXPECT_EQ(a.lo->value(), b.lo->value()); }
+    if (a.hi) { EXPECT_EQ(a.hi->value(), b.hi->value()); }
   }
 }
 
@@ -184,8 +188,8 @@ TEST(DecodeLadder, MatchesBehavioralEngineDecode) {
       const VoltageBin b = engine.decode(word, code);
       ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
       ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-      if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-      if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+      if (a.lo) { EXPECT_EQ(a.lo->value(), b.lo->value()); }
+      if (a.hi) { EXPECT_EQ(a.hi->value(), b.hi->value()); }
     }
   }
 }
@@ -219,8 +223,8 @@ TEST(RawPath, BehavioralMeasureRawPlusLadderReassemblesMeasure) {
     EXPECT_EQ(rebuilt.word, m.word);
     ASSERT_EQ(rebuilt.bin.lo.has_value(), m.bin.lo.has_value());
     ASSERT_EQ(rebuilt.bin.hi.has_value(), m.bin.hi.has_value());
-    if (m.bin.lo) EXPECT_EQ(rebuilt.bin.lo->value(), m.bin.lo->value());
-    if (m.bin.hi) EXPECT_EQ(rebuilt.bin.hi->value(), m.bin.hi->value());
+    if (m.bin.lo) { EXPECT_EQ(rebuilt.bin.lo->value(), m.bin.lo->value()); }
+    if (m.bin.hi) { EXPECT_EQ(rebuilt.bin.hi->value(), m.bin.hi->value()); }
   }
 }
 

@@ -4,10 +4,15 @@
 // foreign versions, oversized lengths, pure garbage — surface as a clean
 // WireError and NEVER as a crash or a silently corrupted sample; and every
 // well-formed RawSample survives encode→frame→parse→decode bit-for-bit,
-// across all 8 DelayCodes and both sense targets.
+// across all 8 DelayCodes and both sense targets. The CRC is checked against
+// known answers and a bit-at-a-time reference, and frozen golden frames pin
+// the bytes on the wire.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/wire.h"
@@ -55,6 +60,60 @@ void expect_samples_equal(const core::RawSample& a, const core::RawSample& b) {
   EXPECT_EQ(a.target, b.target);
   EXPECT_EQ(a.code.value(), b.code.value());
   EXPECT_EQ(a.word, b.word);
+}
+
+// --- CRC32: known answers and a bytewise reference -------------------------
+
+// The textbook form: one byte at a time, one bit at a time, no tables.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc_of(std::string_view text) {
+  return crc32(reinterpret_cast<const std::uint8_t*>(text.data()),
+               text.size());
+}
+
+TEST(WireCrc, KnownAnswers) {
+  EXPECT_EQ(crc32(nullptr, 0), 0x00000000u);
+  EXPECT_EQ(crc_of(""), 0x00000000u);
+  EXPECT_EQ(crc_of("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc_of("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+}
+
+TEST(WireCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0–80 from every start offset 0–7 covers each split into
+  // 8-byte steps plus a 0–7 byte tail, at every alignment.
+  stats::Xoshiro256 rng(2718);
+  std::vector<std::uint8_t> buffer(8 + 80);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 80; ++length) {
+      const std::uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(crc32(data, length), reference_crc32(data, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(WireCrc, MatchesBytewiseReferenceOnRandomBuffers) {
+  stats::Xoshiro256 rng(31415);
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t size = rng.uniform_index((64u << 10) + 1);
+    std::vector<std::uint8_t> buffer(size);
+    for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+    ASSERT_EQ(crc32(buffer.data(), size),
+              reference_crc32(buffer.data(), size))
+        << "trial " << trial << " size " << size;
+  }
 }
 
 // --- round-trip properties -------------------------------------------------
@@ -195,6 +254,72 @@ TEST(WireFormat, TruncationIsPendingBytesNeverAFrame) {
   }
 }
 
+// --- golden frames: the bytes on the wire are frozen ------------------------
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::vector<core::RawSample> golden_samples() {
+  return {make_sample(7, 0, 0.0, core::SenseTarget::kVdd, 0, 0x0u, 7),
+          make_sample(7, 1, 1250.5, core::SenseTarget::kGnd, 5, 0x3fu, 7),
+          make_sample(0x01020304u, 0xA0B0C0D0u, 9.87654321e9,
+                      core::SenseTarget::kVdd, 7, 0xDEADBEEFu, 32)};
+}
+
+// Written by the table-per-byte CRC writer (wire version 1); any change to
+// these bytes is a wire-format change and needs a kWireVersion bump.
+constexpr std::string_view kGoldenSpanHex =
+    "544e535001030000550000009578d91d0500000011000000efcdab8967452301"
+    "0700000000000000000000000000000000000700000000070000000100000000"
+    "000000008a93400105073f00000004030201d0c0b0a0000050b7806502420007"
+    "20efbeadde";
+constexpr std::string_view kGoldenAssignHex =
+    "544e5350010200000c000000440951c7020000008000000000020000";
+
+TEST(WireFormat, GoldenSpanFrameIsByteIdentical) {
+  const auto samples = golden_samples();
+  const SpanHeader sent{5, 17, 0x0123456789ABCDEFull};
+  std::vector<std::uint8_t> bytes;
+  FrameWriter::append_sample_span(bytes, sent, samples.data(),
+                                  samples.size());
+  const auto golden = from_hex(kGoldenSpanHex);
+  ASSERT_EQ(bytes, golden);
+
+  SpanHeader header;
+  const auto back = span_back(golden, header);
+  EXPECT_EQ(header.worker, sent.worker);
+  EXPECT_EQ(header.seq, sent.seq);
+  EXPECT_EQ(header.send_ns, sent.send_ns);
+  ASSERT_EQ(back.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    expect_samples_equal(samples[i], back[i]);
+  }
+}
+
+TEST(WireFormat, GoldenAssignFrameIsByteIdentical) {
+  std::vector<std::uint8_t> bytes;
+  FrameWriter::append_assign(bytes, AssignPayload{2, 128, 512});
+  const auto golden = from_hex(kGoldenAssignHex);
+  ASSERT_EQ(bytes, golden);
+
+  FrameParser parser;
+  parser.feed(golden.data(), golden.size());
+  auto frame = parser.next();
+  ASSERT_TRUE(frame && frame->type == FrameType::kAssign);
+  AssignPayload assign;
+  ASSERT_FALSE(decode_assign(*frame, assign).has_value());
+  EXPECT_EQ(assign.worker, 2u);
+  EXPECT_EQ(assign.first_sample, 128u);
+  EXPECT_EQ(assign.sample_count, 512u);
+  EXPECT_EQ(parser.bytes_pending(), 0u);
+}
+
 TEST(WireFormat, FlippedPayloadBitFailsCrc) {
   auto bytes = one_span_frame();
   bytes[kFrameHeaderBytes + 3] ^= 0x10;  // flip one payload bit
@@ -203,6 +328,42 @@ TEST(WireFormat, FlippedPayloadBitFailsCrc) {
   EXPECT_FALSE(parser.next().has_value());
   ASSERT_TRUE(parser.failed());
   EXPECT_EQ(*parser.error(), WireError::kBadCrc);
+}
+
+TEST(WireFormat, EverySingleBitFlipInPayloadOrCrcFailsCrc) {
+  // CRC32 detects every single-bit error; the frame check must too, for
+  // each bit of a 64-sample span's payload and of the CRC field itself.
+  std::vector<core::RawSample> samples;
+  for (std::uint32_t k = 0; k < 64; ++k) {
+    samples.push_back(make_sample(k % 16, k, 7500.0 * k,
+                                  k % 3 == 0 ? core::SenseTarget::kGnd
+                                             : core::SenseTarget::kVdd,
+                                  static_cast<std::uint8_t>(k % 8),
+                                  (1u << (k % 8)) - 1u, 7));
+  }
+  std::vector<std::uint8_t> bytes;
+  FrameWriter::append_sample_span(bytes, SpanHeader{1, 3, 99}, samples.data(),
+                                  samples.size());
+  ASSERT_EQ(bytes.size(),
+            kFrameHeaderBytes + kSpanHeaderBytes + 64 * kSampleWireBytes);
+  constexpr std::size_t kCrcOffset = 12;
+  for (std::size_t at = kCrcOffset; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      FrameParser parser;
+      parser.feed(bytes.data(), bytes.size());
+      SCOPED_TRACE(::testing::Message() << "byte " << at << " bit " << bit);
+      ASSERT_FALSE(parser.next().has_value());
+      ASSERT_TRUE(parser.failed());
+      ASSERT_EQ(*parser.error(), WireError::kBadCrc);
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  // Unflipped, the same bytes are one clean frame.
+  FrameParser parser;
+  parser.feed(bytes.data(), bytes.size());
+  EXPECT_TRUE(parser.next().has_value());
+  EXPECT_FALSE(parser.failed());
 }
 
 TEST(WireFormat, ForeignVersionIsRejected) {
