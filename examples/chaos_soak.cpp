@@ -11,10 +11,11 @@
 // (seed, site, sample, attempt), rerunning this binary reproduces the same
 // storm, the same traces, and the same words at any thread count.
 //
-// Note on decode paths: attaching an injector activates the chaos loop,
-// which forces the legacy per-site decode (DecodePath::kPerSite) — the
-// retry/vote/quarantine machinery consumes decoded bins at the point of each
-// recovery decision, so the streaming drain-pass ENC does not apply here.
+// Note on decoding: attaching an injector activates the chaos loop, whose
+// retry/vote/quarantine decisions read only fault flags, words and failure
+// streaks. It ships raw (majority-voted) words through the rings like the
+// plain loops, and the drain-pass ENC + DecodeLadder decode every one of
+// them — the grid.enc.* counters below cover the chaos samples too.
 #include <cstdio>
 #include <iostream>
 #include <map>

@@ -177,9 +177,11 @@ RawSample BehavioralEngine::measure_raw(const MeasureRequest& req,
   return raw;
 }
 
-void BehavioralEngine::capture_batch(const MeasureRequest& first,
-                                     Picoseconds interval, std::size_t count,
-                                     const analog::RailPair& rails) {
+void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
+                                         Picoseconds interval,
+                                         std::size_t count,
+                                         const analog::RailPair& rails,
+                                         std::vector<RawSample>& out) {
   const DelayCode code = resolve_code(first);
   const SenseTarget target = first.target;
   const Picoseconds skew = pg_.skew(code);
@@ -230,42 +232,15 @@ void BehavioralEngine::capture_batch(const MeasureRequest& first,
   if (ctx_.has_word_hook()) {
     for (std::size_t k = 0; k < count; ++k) ctx_.apply_word(batch_words_[k]);
   }
-}
 
-void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
-                                         Picoseconds interval,
-                                         std::size_t count,
-                                         const analog::RailPair& rails,
-                                         std::vector<RawSample>& out) {
-  capture_batch(first, interval, count, rails);
-  const DelayCode code = resolve_code(first);
   out.reserve(out.size() + count);
   for (std::size_t k = 0; k < count; ++k) {
     RawSample raw;
     raw.timestamp = batch_launch_[k];
-    raw.target = first.target;
+    raw.target = target;
     raw.code = code;
     raw.word = batch_words_[k];
     out.push_back(raw);
-  }
-}
-
-void BehavioralEngine::measure_batch(const MeasureRequest& first,
-                                     Picoseconds interval, std::size_t count,
-                                     const analog::RailPair& rails,
-                                     std::vector<Measurement>& out) {
-  capture_batch(first, interval, count, rails);
-  const DelayCode code = resolve_code(first);
-  out.reserve(out.size() + count);
-  for (std::size_t k = 0; k < count; ++k) {
-    Measurement m;
-    m.timestamp = batch_launch_[k];
-    m.target = first.target;
-    m.code = code;
-    m.word = batch_words_[k];
-    m.bin = m.target == SenseTarget::kVdd ? decode(m.word, code)
-                                          : decode_gnd_word(m.word, code);
-    out.push_back(std::move(m));
   }
 }
 
@@ -321,8 +296,8 @@ void IMeasureEngine::measure_batch(const MeasureRequest& first,
 
 RawSample IMeasureEngine::measure_raw(const MeasureRequest& req) {
   // Fallback for backends without the raw capability: run the full measure
-  // and drop the bin. Correct, but pays the decode — hot-path callers gate
-  // on supports_raw_samples() instead.
+  // and drop the bin. Correct, but pays a decode the caller discards; fast
+  // backends override this.
   const Measurement m = measure(req);
   RawSample raw;
   raw.timestamp = m.timestamp;
@@ -365,11 +340,6 @@ class BehavioralEngineHandle final : public IMeasureEngine {
   Measurement measure(const MeasureRequest& req) override {
     return engine_.measure(req, rails_);
   }
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count,
-                     std::vector<Measurement>& out) override {
-    engine_.measure_batch(first, interval, count, rails_, out);
-  }
   // The vectorized SoA capture path. Auto-ranged sites must stay
   // per-sample: the policy observes each published word before the next
   // PREPARE, and a batch would freeze the trim sequence mid-flight.
@@ -405,8 +375,8 @@ class BehavioralEngineHandle final : public IMeasureEngine {
 
 // Gate-level backend: a private event simulator running the full Fig. 6
 // netlist of one sensor site. One netlist transaction covers prepare+sense,
-// so measure() maps onto run_measures(1) and measure_batch amortizes FSM
-// idle realignment across the whole batch. The PG MUX selects are the FSM's
+// so measure_raw() maps onto run_measures(1) and measure_raw_batch amortizes
+// FSM idle realignment across the whole batch. The PG MUX selects are the FSM's
 // live code register, so auto-range works at gate level: each measure
 // resolves its code from the context policy and a change reloads the
 // register through INIT.
@@ -451,21 +421,8 @@ class StructuralEngineHandle final : public IMeasureEngine {
   [[nodiscard]] std::size_t word_bits() const override { return array_.bits(); }
 
   Measurement measure(const MeasureRequest& req) override {
-    const DelayCode code = resolve_code(req);
-    const auto words = run_words(code, 1);
-    return to_measurement(req.start, code, words.front());
-  }
-
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, std::vector<Measurement>& out) override {
-    const DelayCode code = resolve_code(first);
-    const auto words = run_words(code, count);
-    out.reserve(out.size() + count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const Picoseconds at{first.start.value() +
-                           static_cast<double>(k) * interval.value()};
-      out.push_back(to_measurement(at, code, words[k]));
-    }
+    const RawSample raw = measure_raw(req);
+    return assemble_measurement(raw, decode(raw.word, raw.code));
   }
 
   // Auto-ranged sites must stay per-sample (the policy observes each word
@@ -527,17 +484,6 @@ class StructuralEngineHandle final : public IMeasureEngine {
       for (ThermoWord& word : words) ctx_.apply_word(word);
     }
     return words;
-  }
-
-  Measurement to_measurement(Picoseconds at, DelayCode code,
-                             const ThermoWord& word) {
-    Measurement m;
-    m.timestamp = at;
-    m.target = SenseTarget::kVdd;
-    m.code = code;
-    m.word = word;
-    m.bin = decode(word, code);
-    return m;
   }
 
   [[nodiscard]] RawSample to_raw(Picoseconds at, DelayCode code,

@@ -218,13 +218,10 @@ class BehavioralEngine {
   // functions of time across the batch — true for every RailSource — and
   // that the hook does not read rail state mid-batch (the one hook
   // installer, fault::FaultSession, never does: chaos runs per-sample
-  // measure()).
+  // measure_raw()).
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count, const analog::RailPair& rails,
                          std::vector<RawSample>& out);
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, const analog::RailPair& rails,
-                     std::vector<Measurement>& out);
   // True when measure_raw_batch can beat the per-sample loop: the kernels'
   // vectorized compare path is available for this array.
   [[nodiscard]] bool batch_capable() const {
@@ -266,12 +263,6 @@ class BehavioralEngine {
   [[nodiscard]] ThermoWord sense_word(const SensorArray& array,
                                       const BatchedSenseKernel& kernel,
                                       Volt v_eff, Picoseconds skew) const;
-  // Shared core of the batch entry points: runs `count` transactions,
-  // leaving launch instants in batch_launch_ and post-hook words in
-  // batch_words_.
-  void capture_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, const analog::RailPair& rails);
-
   SensorArray high_sense_;
   SensorArray low_sense_;
   PulseGenerator pg_;
@@ -315,22 +306,21 @@ class IMeasureEngine {
   // One full PREPARE+SENSE transaction against the engine's bound rails.
   virtual Measurement measure(const MeasureRequest& req) = 0;
 
-  // `count` consecutive transactions starting at `first.start`, spaced by
-  // `interval`, appended to `out`. Backends that amortize per-transaction
-  // setup (the structural netlist) override this; the default loops
-  // measure().
+  // `count` consecutive decoded transactions starting at `first.start`,
+  // spaced by `interval`, appended to `out`. The default loops measure(); no
+  // shipped backend overrides it — batch consumers capture raw (below) and
+  // decode downstream.
   virtual void measure_batch(const MeasureRequest& first, Picoseconds interval,
                              std::size_t count, std::vector<Measurement>& out);
-  // True when measure_batch is materially cheaper than measure() in a loop.
+  // True when measure_raw_batch is materially cheaper than measure_raw() in
+  // a loop.
   [[nodiscard]] virtual bool prefers_batch() const { return false; }
 
-  // --- raw-capture path (streaming pipeline) ----------------------------
-  // True when the backend can ship capture-only RawSamples, skipping ENC and
-  // voltage conversion on its own thread (the grid's streaming drain then
-  // encodes/decodes in bulk). Backends without the capability keep the
-  // legacy full-measure path; consumers must check before calling the raw
-  // entry points on a hot path (the defaults fall back to measure(), which
-  // pays the decode the caller was trying to avoid).
+  // --- raw-capture path (the grid's only capture path) ------------------
+  // True when the backend captures RawSamples natively, skipping ENC and
+  // voltage conversion on its own thread (the grid drain then encodes and
+  // decodes in bulk). Without it the raw entry points still work: their
+  // defaults run a full measure() and drop the bin.
   [[nodiscard]] virtual bool supports_raw_samples() const { return false; }
   // One capture-only transaction: word + code + launch instant, no ENC, no
   // bin. The word hook has already run. Default derives from measure().

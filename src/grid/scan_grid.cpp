@@ -20,31 +20,12 @@ namespace {
 
 // One capture in flight from a worker to the aggregator. `raw.site_id`
 // carries the grid-internal site *index* (matrix row), `raw.sample_index`
-// the column. On the streaming path `decoded` is false and the drain pass
-// owns ENC + voltage conversion; the legacy/chaos paths ship the bin they
-// already computed (`decoded` true) and the drain publishes it as-is.
+// the column. Every capture loop ships the raw word only; the drain pass
+// owns ENC + voltage conversion for all of them.
 struct GridSample {
   core::RawSample raw;
-  core::VoltageBin bin;
-  bool decoded = false;
   double wall_us = 0.0;  // producer-side wall time of the measure
 };
-
-// Legacy/chaos producer: splits an already-decoded Measurement back into the
-// wire format so both paths share one ring payload and one drain loop.
-GridSample to_grid_sample(std::uint32_t site_index, std::size_t sample_index,
-                          const core::Measurement& m) {
-  GridSample s;
-  s.raw.site_id = site_index;
-  s.raw.sample_index = static_cast<std::uint32_t>(sample_index);
-  s.raw.timestamp = m.timestamp;
-  s.raw.target = m.target;
-  s.raw.code = m.code;
-  s.raw.word = m.word;
-  s.bin = m.bin;
-  s.decoded = true;
-  return s;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -85,8 +66,8 @@ struct ScanGrid::Shard {
   std::size_t index = 0;
   std::vector<Site*> sites;
   SpscRing<GridSample> ring;
-  // Streaming capture buffers, reused across batches. Touched only by the
-  // shard's single worker thread.
+  // Capture buffers, reused across batches. Touched only by the shard's
+  // single worker thread.
   std::vector<core::RawSample> scratch;
   std::vector<GridSample> sample_scratch;
   std::atomic<bool> done{false};
@@ -168,9 +149,6 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
                "the grid drain is a single writer; use a 1-shard store");
   }
   chaos_ = config_.injector != nullptr || config_.resilience.enabled();
-  // Chaos recovery (retry/vote/quarantine) consumes decoded bins at the
-  // point of the failure, so the chaos path always runs per-site decode.
-  streaming_ = config_.decode_path == DecodePath::kStreaming && !chaos_;
 
   // Resolve the hot-path instruments once: counter() takes a std::string
   // and these names overflow SSO, so looking them up per site batch was the
@@ -184,12 +162,9 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
 
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
-  (void)calib::calibrated();
-  if (streaming_) {
-    // Built on the constructor thread, immutable afterwards: the drain pass
-    // decodes against this instead of any engine's mutable kernel cache.
-    ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
-  }
+  // Built on the constructor thread, immutable afterwards: the drain pass
+  // decodes against this instead of any engine's mutable kernel cache.
+  ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
 
   // Sites are built in floorplan order on the caller thread so every
   // stochastic draw happens in a deterministic sequence per site.
@@ -218,7 +193,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // behavior change. Auto-ranged grids walk codes at runtime; their first
   // step per code still solves lazily (and correctly) as before.
   if (config_.fidelity == SiteFidelity::kBehavioral &&
-      !config_.engine_factory && config_.batch_capture && sites_.size() > 1) {
+      !config_.engine_factory && sites_.size() > 1) {
     core::IMeasureEngine& first = *sites_.front()->engine;
     if (core::prewarm_sense_ladders(first,
                                     first.context().current_code())) {
@@ -297,64 +272,11 @@ void ScanGrid::observe_code_policy(Site& site, const core::ThermoWord& word) {
   ctx.observe(site.engine->encode(word), word.width());
 }
 
-void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
-                              Shard& shard) {
+void ScanGrid::capture_site_batch(Site& site, std::size_t first,
+                                  std::size_t count, Shard& shard) {
   ensure_engine(site);
   core::IMeasureEngine& engine = *site.engine;
-
-  if (config_.batch_capture && engine.prefers_batch()) {
-    core::MeasureRequest req;
-    req.start = sample_time(first);
-    std::vector<core::Measurement> batch;
-    const double t0 = now_seconds();
-    engine.measure_batch(req, config_.interval, count, batch);
-    const double batch_seconds = now_seconds() - t0;
-    const core::EngineBatchStats stats = engine.take_batch_stats();
-    if (stats.sim_events > 0) {
-      hot_.sim_events->increment(stats.sim_events);
-      hot_.sim_allocs->increment(stats.sim_allocs);
-      // Worker-side simulation time (excludes ring/aggregator); the perf
-      // bench derives its ns-per-structural-measure from this. Guarded so
-      // vectorized behavioral batches (zero sim events) don't dilute it.
-      hot_.structural_ns->increment(
-          static_cast<std::uint64_t>(batch_seconds * 1e9));
-    }
-    const double per_sample_us =
-        batch_seconds * 1e6 / static_cast<double>(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      GridSample s = to_grid_sample(site.index, first + k, batch[k]);
-      s.wall_us = per_sample_us;
-      push_with_backpressure(config_.backpressure, shard.ring, s,
-                             *hot_.stalls, *hot_.drops, *hot_.produced);
-    }
-    return;
-  }
-
-  for (std::size_t k = first; k < first + count; ++k) {
-    const double t0 = now_seconds();
-    core::MeasureRequest req;
-    req.start = sample_time(k);
-    const core::Measurement m = engine.measure(req);
-    const double wall_us = (now_seconds() - t0) * 1e6;
-    observe_code_policy(site, m.word);
-    GridSample s = to_grid_sample(site.index, k, m);
-    s.wall_us = wall_us;
-    push_with_backpressure(config_.backpressure, shard.ring, s, *hot_.stalls,
-                           *hot_.drops, *hot_.produced);
-  }
-}
-
-void ScanGrid::run_site_batch_streaming(Site& site, std::size_t first,
-                                        std::size_t count, Shard& shard) {
-  ensure_engine(site);
-  // Per-site fallback: engines without the raw capability keep the legacy
-  // decode-in-transaction path; the drain handles both payload shapes.
-  if (!site.engine->supports_raw_samples()) {
-    run_site_batch(site, first, count, shard);
-    return;
-  }
-  core::IMeasureEngine& engine = *site.engine;
-  const bool batched = config_.batch_capture && engine.prefers_batch();
+  const bool batched = engine.prefers_batch();
 
   shard.scratch.clear();
   const double t0 = now_seconds();
@@ -367,8 +289,8 @@ void ScanGrid::run_site_batch_streaming(Site& site, std::size_t first,
     engine.measure_raw_batch(req, config_.interval, count, shard.scratch);
   } else {
     // Per-sample captures so auto-range feedback sees every word before the
-    // next PREPARE — same trim sequence as the legacy path, hence the
-    // bit-identity guarantee extends to auto-ranged sites.
+    // next PREPARE — the same trim sequence a serial measure/observe loop
+    // walks, hence the bit-identity guarantee extends to auto-ranged sites.
     shard.scratch.reserve(count);
     for (std::size_t k = first; k < first + count; ++k) {
       core::MeasureRequest req;
@@ -383,6 +305,9 @@ void ScanGrid::run_site_batch_streaming(Site& site, std::size_t first,
     if (stats.sim_events > 0) {
       hot_.sim_events->increment(stats.sim_events);
       hot_.sim_allocs->increment(stats.sim_allocs);
+      // Worker-side simulation time (excludes ring/aggregator); the perf
+      // bench derives its ns-per-structural-measure from this. Guarded so
+      // vectorized behavioral batches (zero sim events) don't dilute it.
       hot_.structural_ns->increment(
           static_cast<std::uint64_t>(batch_seconds * 1e9));
     }
@@ -472,7 +397,7 @@ void apply_backoff(const ResiliencePolicy& policy, std::size_t attempt,
 }  // namespace
 
 bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
-                             core::Measurement& out,
+                             core::RawSample& out,
                              std::uint32_t& forced_stall_pushes,
                              ChaosCounters& counters) {
   const ResiliencePolicy& policy = config_.resilience;
@@ -485,8 +410,8 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
   const std::size_t attempts_per_vote = policy.max_retries + 1;
   const std::size_t width = engine.word_bits();
 
-  std::vector<core::Measurement> vote_ms;
-  vote_ms.reserve(votes);
+  std::vector<core::RawSample> vote_raws;
+  vote_raws.reserve(votes);
   bool needed_retry = false;
 
   for (std::size_t v = 0; v < votes; ++v) {
@@ -518,9 +443,9 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
         req.code = drifted_code(engine.context().current_code(), f.code_delta);
       }
       if (site.fault_session) site.fault_session->arm(f);
-      core::Measurement m;
+      core::RawSample raw;
       try {
-        m = engine.measure(req);
+        raw = engine.measure_raw(req);
       } catch (const net::TransportError& err) {
         // A remote engine's transport failure (deadline blown, short read,
         // connection lost) IS a hung measure: record it on the hung lane
@@ -544,21 +469,21 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
       if (site.fault_session) site.fault_session->disarm();
       if (a > 0) needed_retry = true;
       forced_stall_pushes = std::max(forced_stall_pushes, f.ring_stall_pushes);
-      vote_ms.push_back(std::move(m));
+      vote_raws.push_back(raw);
       break;
     }
   }
-  if (vote_ms.empty()) return false;
+  if (vote_raws.empty()) return false;
 
-  if (vote_ms.size() == 1) {
-    out = std::move(vote_ms.front());
+  if (vote_raws.size() == 1) {
+    out = vote_raws.front();
   } else {
     // Lost votes shrink the panel; keep it odd so majority stays defined.
-    std::size_t panel = vote_ms.size();
+    std::size_t panel = vote_raws.size();
     if (panel % 2 == 0) --panel;
     std::vector<core::ThermoWord> words;
     words.reserve(panel);
-    for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_ms[i].word);
+    for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_raws[i].word);
     const core::ThermoWord winner = majority_word(words);
     bool overridden = false;
     std::size_t match = panel;  // first vote that already equals the winner
@@ -570,13 +495,13 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
       }
     }
     if (match < panel) {
-      out = std::move(vote_ms[match]);
+      out = vote_raws[match];
     } else {
       // Majority word matches no single vote (flips on distinct bits):
-      // publish the majority word with a freshly decoded bin.
-      out = std::move(vote_ms.front());
+      // publish it on the first vote's code and timestamp; the drain
+      // decodes it like any other word.
+      out = vote_raws.front();
       out.word = winner;
-      out.bin = engine.decode(winner, out.code);
     }
     if (overridden) {
       ++site.vote_overrides;
@@ -590,8 +515,8 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
   return true;
 }
 
-void ScanGrid::run_site_batch_chaos(Site& site, std::size_t first,
-                                    std::size_t count, Shard& shard) {
+void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
+                                        std::size_t count, Shard& shard) {
   ChaosCounters counters(telemetry_);
   const ResiliencePolicy& policy = config_.resilience;
   ensure_engine(site);
@@ -603,9 +528,10 @@ void ScanGrid::run_site_batch_chaos(Site& site, std::size_t first,
       continue;
     }
     const double t0 = now_seconds();
-    core::Measurement m;
+    GridSample s;
     std::uint32_t forced_stall_pushes = 0;
-    const bool ok = chaos_measure(site, k, m, forced_stall_pushes, counters);
+    const bool ok =
+        chaos_measure(site, k, s.raw, forced_stall_pushes, counters);
     if (!ok) {
       ++site.lost;
       counters.lost.increment();
@@ -619,8 +545,9 @@ void ScanGrid::run_site_batch_chaos(Site& site, std::size_t first,
       continue;
     }
     site.fail_streak = 0;
-    observe_code_policy(site, m.word);
-    GridSample s = to_grid_sample(site.index, k, m);
+    observe_code_policy(site, s.raw.word);
+    s.raw.site_id = site.index;
+    s.raw.sample_index = static_cast<std::uint32_t>(k);
     s.wall_us = (now_seconds() - t0) * 1e6;
     push_with_backpressure(config_.backpressure, shard.ring, s, *hot_.stalls,
                            *hot_.drops, *hot_.produced, forced_stall_pushes);
@@ -638,11 +565,9 @@ void ScanGrid::worker_run_shard(Shard& shard) {
     const std::size_t count = std::min(config_.batch, samples - base);
     for (Site* site : shard.sites) {
       if (chaos_) {
-        run_site_batch_chaos(*site, base, count, shard);
-      } else if (streaming_) {
-        run_site_batch_streaming(*site, base, count, shard);
+        capture_site_batch_chaos(*site, base, count, shard);
       } else {
-        run_site_batch(*site, base, count, shard);
+        capture_site_batch(*site, base, count, shard);
       }
     }
   }
@@ -657,8 +582,8 @@ void ScanGrid::aggregate(RunResult& result) {
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
   auto& snapshots = telemetry_.counter("grid.snapshots_exported");
 
-  // The streaming ENC block lives here: every undecoded ring sample goes
-  // through this encoder (running under/overflow + bubble tallies) and the
+  // The streaming ENC block lives here: every ring sample goes through this
+  // encoder (running under/overflow + bubble tallies) and the
   // shared immutable ladder. Single-threaded by construction — the caller
   // thread is the only drain.
   core::StreamingEncoder enc(config_.thermometer.bubble_policy);
@@ -695,19 +620,17 @@ void ScanGrid::aggregate(RunResult& result) {
   };
 
   // Drain-pass scratch, reused across sweeps: samples come off each ring in
-  // chunks, the undecoded run goes through encode_span/decode_span in one
+  // chunks, the chunk's words go through encode_span/decode_span in one
   // pass, then every sample is published individually. Function-scope so the
   // steady state performs no allocation — this was the residual
   // allocs-per-measure the grid bench still showed after PR 5.
   constexpr std::size_t kDrainChunk = 256;
   std::vector<GridSample> chunk;
-  std::vector<std::size_t> undecoded;
   std::vector<core::ThermoWord> word_scratch;
   std::vector<core::DelayCode> code_scratch;
   std::vector<core::EncodedWord> enc_scratch(kDrainChunk);
   std::vector<core::VoltageBin> bin_scratch(kDrainChunk);
   chunk.reserve(kDrainChunk);
-  undecoded.reserve(kDrainChunk);
   word_scratch.reserve(kDrainChunk);
   code_scratch.reserve(kDrainChunk);
   // Histogram feeds buffered per chunk: ValueHistogram locks per call, so
@@ -742,33 +665,25 @@ void ScanGrid::aggregate(RunResult& result) {
         drained_counter.increment(chunk.size());
         if (store != nullptr) serve_ingested->increment(chunk.size());
 
-        // Streaming ENC + voltage conversion over the chunk's undecoded run
-        // in one span each; the bins land back in their samples before the
-        // publish loop below.
-        undecoded.clear();
+        // Streaming ENC + voltage conversion over the whole chunk in one
+        // span each; bin_scratch[i] is sample i's bin in the publish loop.
         word_scratch.clear();
         code_scratch.clear();
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-          if (chunk[i].decoded) continue;
-          undecoded.push_back(i);
-          word_scratch.push_back(chunk[i].raw.word);
-          code_scratch.push_back(chunk[i].raw.code);
+        for (const GridSample& s : chunk) {
+          word_scratch.push_back(s.raw.word);
+          code_scratch.push_back(s.raw.code);
         }
-        if (!undecoded.empty()) {
-          enc.encode_span(word_scratch.data(), word_scratch.size(),
-                          enc_scratch.data());  // grid.enc.* telemetry
-          ladder_.decode_span(word_scratch.data(), code_scratch.data(),
-                              word_scratch.size(), bin_scratch.data());
-          for (std::size_t j = 0; j < undecoded.size(); ++j) {
-            chunk[undecoded[j]].bin = bin_scratch[j];
-          }
-        }
+        enc.encode_span(word_scratch.data(), word_scratch.size(),
+                        enc_scratch.data());  // grid.enc.* telemetry
+        ladder_.decode_span(word_scratch.data(), code_scratch.data(),
+                            word_scratch.size(), bin_scratch.data());
 
         latency_vals.clear();
         volt_vals.clear();
-        for (const GridSample& s : chunk) {
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+          const GridSample& s = chunk[i];
           ++drained;
-          const core::VoltageBin& bin = s.bin;
+          const core::VoltageBin& bin = bin_scratch[i];
           auto& sr = result.sites[s.raw.site_id];
           sr.samples[s.raw.sample_index] =
               core::assemble_measurement(s.raw, bin);

@@ -4,10 +4,23 @@
 // per-site sensor simulations run on a fixed-size thread pool, each site's
 // captures stream through a bounded SPSC ring into a central aggregator
 // that maintains telemetry (counters, latency/value histograms, per-site
-// OnlineStats rollups) and assembles the ordered result matrix. Under the
-// default DecodePath::kStreaming the ring carries wire-sized raw words and
-// the aggregator's drain pass owns ENC + voltage conversion — the paper's
-// capture/encode split (Fig. 6) applied to the runtime.
+// OnlineStats rollups) and assembles the ordered result matrix. Every
+// capture loop ships wire-sized core::RawSamples (word, code, timestamp; no
+// bin) and the aggregator's drain pass owns ENC + voltage conversion for all
+// of them — the paper's capture/encode split (Fig. 6) applied to the runtime.
+//
+// Capture loops (chosen per site batch)
+//   * batched: one measure_raw_batch per site batch, for engines that
+//     prefer batches (the vectorized behavioral SoA capture, the netlist);
+//   * per-sample: measure_raw per sample, for engines that do not — above
+//     all auto-ranged sites, whose trim must observe every word before the
+//     next PREPARE. Auto-range feedback stays capture-side: the paper's CNTR
+//     trims the delay code on-die, and re-trimming from the drain would make
+//     code selection depend on aggregator timing;
+//   * chaos: per-sample retry/vote/quarantine over measure_raw (below).
+//   Engines without a raw capability of their own are served by
+//   IMeasureEngine::measure_raw's default, which drops the bin of a full
+//   measure().
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard is
@@ -23,9 +36,10 @@
 //   site i's RNG stream is site_rng(seed, i) regardless of which thread
 //   simulates it, and each site owns its thermometer, so the per-site call
 //   sequence (sample 0, 1, 2, ...) is identical to a serial run. A parallel
-//   run is therefore bit-identical to scan::PsnScanChain::broadcast_measure
-//   iterated over the same times with the same rails and thermometers
-//   (tests/test_scan_grid.cpp asserts this site-for-site).
+//   run is therefore bit-identical — words, codes and bins — to
+//   scan::PsnScanChain::broadcast_measure iterated over the same times with
+//   the same rails and thermometers (tests/test_scan_grid.cpp asserts this
+//   site-for-site).
 //
 // Backpressure
 //   kBlockProducer (default): a full ring stalls the producing worker
@@ -49,6 +63,9 @@
 //   hook + rail offset — the single hook surface), plus forced-full pushes
 //   in the ring path, and the ResiliencePolicy decides
 //   recovery — bounded-backoff retry, majority vote, and site quarantine.
+//   Recovery decides on fault flags, words and failure streaks only, so the
+//   chaos loop ships raw words through the same drain decode as the plain
+//   loops.
 //   Degradation telemetry (grid.fault.*, grid.retries, grid.samples_lost,
 //   grid.sites_quarantined, ...) flows through the TelemetryRegistry and the
 //   per-site trace lands in SiteResult::fault_events. With no injector and
@@ -95,29 +112,6 @@ enum class SiteFidelity { kBehavioral, kStructural };
 // grid only feeds published words back through it.
 enum class CodePolicy { kFixed, kAutoRange };
 
-// Where ENC + voltage conversion run (the paper's capture/encode split,
-// Fig. 6: FF array → ENC → OUTE).
-//
-// kStreaming (default): workers ship capture-only core::RawSamples through
-// the rings; the aggregator's drain pass batch-encodes them with a
-// core::StreamingEncoder (running under/overflow + bubble telemetry,
-// grid.enc.*) and converts voltages through one shared immutable
-// core::DecodeLadder — per-site threads pay no per-sample ENC or decode.
-// Published words and bins are bit-identical to kPerSite
-// (tests/test_streaming_grid.cpp proves it at 1/2/8 threads).
-//
-// kPerSite: the legacy path — every worker decodes inside the measure
-// transaction and ships full Measurements. Kept as the fallback for engines
-// without the raw-sample capability, and forced for the whole run when the
-// chaos path is active (retry/vote/quarantine needs decoded bins at the
-// point of recovery).
-//
-// Auto-range feedback stays capture-side in BOTH modes: the paper's CNTR
-// trims the delay code on-die, and re-trimming from the drain would make
-// code selection depend on aggregator timing — breaking the (site, sample)
-// determinism guarantee.
-enum class DecodePath { kStreaming, kPerSite };
-
 // Builds one site's rail source, deterministically, from the site record and
 // the site's private RNG stream. Must be pure apart from the RNG (it may be
 // invoked from the grid constructor for every site, in site order).
@@ -131,6 +125,8 @@ using RailFactory = std::function<std::unique_ptr<analog::RailSource>(
 // and the grid-resolved site options; must return non-null. Transport
 // failures thrown by a remote engine (net::TransportError) are mapped by
 // the chaos path onto the hung-fault lane — retry/backoff, then quarantine.
+// The drain decodes every word against the calibrated paper ladder, so a
+// factory engine must sense with the paper array and pulse generator.
 using EngineFactory = std::function<core::EngineHandle(
     std::uint32_t site_id, const analog::RailPair&,
     const core::EngineSiteOptions&)>;
@@ -149,8 +145,6 @@ struct ScanGridConfig {
   // ignored (see EngineFactory). Factory engines are built lazily on the
   // worker thread — a remote engine's connect happens off the constructor.
   EngineFactory engine_factory;
-  // Streaming drain-pass ENC vs legacy per-site decode; see DecodePath.
-  DecodePath decode_path = DecodePath::kStreaming;
   // When set, each site's starting Delay Code is resolved once at engine
   // construction by core::tune_for_window over this window (Sec. III-A),
   // instead of taking `code` as-is. Works for both fidelities (the
@@ -166,13 +160,6 @@ struct ScanGridConfig {
   // holds. 96 keeps a whole batch's SoA scratch inside L1 while amortizing
   // the per-batch dispatch (see DESIGN.md §14).
   std::size_t batch = 96;
-  // Allow engines that prefer batches (the vectorized behavioral capture,
-  // the structural netlist) to serve a whole site batch in one engine call.
-  // Off forces the per-sample capture loop everywhere — the legacy PR-5
-  // pipeline, kept addressable for benchmarking and bisection. Auto-ranged
-  // sites capture per sample regardless (the trim loop must observe every
-  // word).
-  bool batch_capture = true;
   // When non-empty, the aggregator exports the telemetry snapshot to this
   // CSV path every `snapshot_every` drained samples (and once at the end).
   std::string snapshot_csv_path;
@@ -303,23 +290,21 @@ class ScanGrid {
   // Feeds a published word back into the engine's code policy (no-op under
   // a fixed code).
   void observe_code_policy(Site& site, const core::ThermoWord& word);
-  void run_site_batch(Site& site, std::size_t first, std::size_t count,
-                      Shard& shard);
-  // Streaming capture path: ships RawSamples (no ENC, no decode) and leaves
-  // encode + voltage conversion to the aggregator drain. Falls back to
-  // run_site_batch per site when the engine lacks the raw capability.
-  void run_site_batch_streaming(Site& site, std::size_t first,
-                                std::size_t count, Shard& shard);
+  // Plain capture: ships RawSamples (no ENC, no decode) for one site batch,
+  // batched or per sample (see "Capture loops" above), and leaves encode +
+  // voltage conversion to the aggregator drain.
+  void capture_site_batch(Site& site, std::size_t first, std::size_t count,
+                          Shard& shard);
   // Fault/resilience path: per-sample retry, vote, quarantine. Selected for
   // the whole run when an injector is attached or the policy is non-default;
   // the plain path above stays untouched (and bit-identical) otherwise.
-  void run_site_batch_chaos(Site& site, std::size_t first, std::size_t count,
-                            Shard& shard);
+  void capture_site_batch_chaos(Site& site, std::size_t first,
+                                std::size_t count, Shard& shard);
   // One published sample through the engine handle, backend-agnostic: up to
-  // `votes` successful measures (voting only when the engine supports it),
-  // each with bounded retry; the published word is their bitwise majority.
-  // Returns false when every attempt of every vote failed.
-  bool chaos_measure(Site& site, std::size_t sample, core::Measurement& out,
+  // `votes` successful raw captures (voting only when the engine supports
+  // it), each with bounded retry; the published word is their bitwise
+  // majority. Returns false when every attempt of every vote failed.
+  bool chaos_measure(Site& site, std::size_t sample, core::RawSample& out,
                      std::uint32_t& forced_stall_pushes,
                      ChaosCounters& counters);
   void record_fault_events(Site& site, const fault::MeasureFaults& faults,
@@ -332,13 +317,12 @@ class ScanGrid {
   TelemetryRegistry telemetry_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Shared aggregator-side voltage conversion (streaming mode only): built
-  // once in the constructor, immutable afterwards, so the drain never
-  // touches a worker's mutable per-engine kernel caches.
+  // Shared aggregator-side voltage conversion for every sample: built once
+  // in the constructor, immutable afterwards, so the drain never touches a
+  // worker's mutable per-engine kernel caches.
   core::DecodeLadder ladder_;
   HotCounters hot_;
-  bool chaos_ = false;      // injector attached or non-default resilience
-  bool streaming_ = false;  // decode_path == kStreaming and not chaos
+  bool chaos_ = false;  // injector attached or non-default resilience
   bool ran_ = false;
 };
 

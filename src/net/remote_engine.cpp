@@ -145,19 +145,6 @@ core::Measurement RemoteEngineHandle::measure(const core::MeasureRequest& req) {
   return core::assemble_measurement(raw, decode_for(raw));
 }
 
-void RemoteEngineHandle::measure_batch(const core::MeasureRequest& first,
-                                       Picoseconds interval,
-                                       std::size_t count,
-                                       std::vector<core::Measurement>& out) {
-  std::vector<core::RawSample> raw;
-  raw.reserve(count);
-  measure_raw_batch(first, interval, count, raw);
-  out.reserve(out.size() + raw.size());
-  for (const core::RawSample& sample : raw) {
-    out.push_back(core::assemble_measurement(sample, decode_for(sample)));
-  }
-}
-
 // --- server ----------------------------------------------------------------
 
 EngineServer::EngineServer(core::EngineHandle engine, Fd conn,

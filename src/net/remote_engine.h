@@ -76,9 +76,6 @@ class RemoteEngineHandle final : public core::IMeasureEngine {
   [[nodiscard]] std::size_t word_bits() const override { return word_bits_; }
 
   core::Measurement measure(const core::MeasureRequest& req) override;
-  void measure_batch(const core::MeasureRequest& first,
-                     Picoseconds interval, std::size_t count,
-                     std::vector<core::Measurement>& out) override;
   [[nodiscard]] bool prefers_batch() const override { return true; }
 
   [[nodiscard]] bool supports_raw_samples() const override { return true; }

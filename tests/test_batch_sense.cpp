@@ -264,8 +264,8 @@ TEST(BatchSense, AdoptRefusesValueDifferentArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: measure_raw_batch / measure_batch against the per-sample
-// transaction loop, on noisy rails, across codes, targets and hooks.
+// Engine level: measure_raw_batch against the per-sample transaction loop,
+// on noisy rails, across codes, targets and hooks.
 // ---------------------------------------------------------------------------
 
 BehavioralEngine make_engine() {
@@ -337,10 +337,13 @@ TEST(BatchEngine, DecodedBatchMatchesMeasureLoop) {
   const Picoseconds interval{5000.0};
   constexpr std::size_t kCount = 64;
 
+  // The vectorized raw capture, decoded downstream, against the scalar
+  // decode-in-transaction measure() loop.
   BehavioralEngine batch_engine = make_engine();
   BehavioralEngine serial_engine = make_engine();
-  std::vector<Measurement> batch;
-  batch_engine.measure_batch(request_at(0.0), interval, kCount, rails, batch);
+  std::vector<RawSample> batch;
+  batch_engine.measure_raw_batch(request_at(0.0), interval, kCount, rails,
+                                 batch);
   ASSERT_EQ(batch.size(), kCount);
   for (std::size_t k = 0; k < kCount; ++k) {
     MeasureRequest req = request_at(interval.value() *
@@ -348,13 +351,14 @@ TEST(BatchEngine, DecodedBatchMatchesMeasureLoop) {
     const Measurement ref = serial_engine.measure(req, rails);
     ASSERT_EQ(batch[k].word, ref.word) << "k=" << k;
     EXPECT_EQ(batch[k].timestamp.value(), ref.timestamp.value());
-    ASSERT_EQ(batch[k].bin.lo.has_value(), ref.bin.lo.has_value());
-    ASSERT_EQ(batch[k].bin.hi.has_value(), ref.bin.hi.has_value());
+    const VoltageBin bin = batch_engine.decode(batch[k].word, batch[k].code);
+    ASSERT_EQ(bin.lo.has_value(), ref.bin.lo.has_value());
+    ASSERT_EQ(bin.hi.has_value(), ref.bin.hi.has_value());
     if (ref.bin.lo) {
-      EXPECT_EQ(batch[k].bin.lo->value(), ref.bin.lo->value());
+      EXPECT_EQ(bin.lo->value(), ref.bin.lo->value());
     }
     if (ref.bin.hi) {
-      EXPECT_EQ(batch[k].bin.hi->value(), ref.bin.hi->value());
+      EXPECT_EQ(bin.hi->value(), ref.bin.hi->value());
     }
   }
 }

@@ -177,13 +177,17 @@ TEST_P(MeasureEngineConformance, BatchMatchesSingleMeasuresOnQuietRails) {
   auto single = GetParam().build({&vdd, nullptr}, {});
   const Picoseconds interval{10000.0};
 
-  std::vector<Measurement> batch;
-  batched->measure_batch(request_at(0.0), interval, 4, batch);
+  std::vector<RawSample> batch;
+  batched->measure_raw_batch(request_at(0.0), interval, 4, batch);
   ASSERT_EQ(batch.size(), 4u);
   for (std::size_t k = 0; k < 4; ++k) {
     const auto m =
         single->measure(request_at(static_cast<double>(k) * interval.value()));
     EXPECT_EQ(batch[k].word, m.word) << "sample " << k;
+    EXPECT_EQ(batch[k].code, m.code) << "sample " << k;
+    EXPECT_EQ(batched->decode(batch[k].word, batch[k].code).to_string(),
+              m.bin.to_string())
+        << "sample " << k;
   }
 }
 
@@ -229,8 +233,8 @@ TEST(MeasureEngineCapabilities, StructuralIsBatchSingleVoteWithLiveTrim) {
       << "the MUX selects follow the FSM code register live";
   EXPECT_FALSE(engine->supports_voting());
 
-  std::vector<Measurement> batch;
-  engine->measure_batch(MeasureRequest{}, Picoseconds{10000.0}, 2, batch);
+  std::vector<RawSample> batch;
+  engine->measure_raw_batch(MeasureRequest{}, Picoseconds{10000.0}, 2, batch);
   const auto stats = engine->take_batch_stats();
   EXPECT_GT(stats.sim_events, 0u) << "the netlist really simulates";
   EXPECT_EQ(engine->take_batch_stats().sim_events, 0u)

@@ -79,8 +79,9 @@ TEST(ScanGrid, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
-  // The refactor's load-bearing guarantee: the grid's engine-based words are
-  // bit-identical to the serial PsnScanChain reference at EVERY thread count.
+  // The refactor's load-bearing guarantee: the grid's engine-based words,
+  // codes and drain-decoded bins are bit-identical to the serial
+  // PsnScanChain reference (per-site decode) at EVERY thread count.
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
 
   // Serial reference: a PsnScanChain over the *same* rails (reconstructed
@@ -98,14 +99,14 @@ TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
         site.id, analog::RailPair{rails.back().get(), nullptr},
         calib::make_paper_thermometer(model, reference_config.thermometer));
   }
-  std::vector<std::vector<core::ThermoWord>> reference;
+  std::vector<std::vector<core::Measurement>> reference;
   for (std::size_t k = 0; k < reference_config.samples_per_site; ++k) {
     const auto snapshot = chain.broadcast_measure(
         Picoseconds{static_cast<double>(k) *
                     reference_config.interval.value()},
         reference_config.code);
     auto& row = reference.emplace_back();
-    for (const auto& sm : snapshot) row.push_back(sm.measurement.word);
+    for (const auto& sm : snapshot) row.push_back(sm.measurement);
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -116,9 +117,24 @@ TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
     ASSERT_EQ(result.sites.size(), reference.front().size());
     for (std::size_t k = 0; k < config.samples_per_site; ++k) {
       for (std::size_t i = 0; i < result.sites.size(); ++i) {
-        EXPECT_EQ(result.sites[i].samples[k].word, reference[k][i])
+        const auto& got = result.sites[i].samples[k];
+        const auto& want = reference[k][i];
+        EXPECT_EQ(got.word, want.word)
             << "threads=" << threads << " site " << i << " sample " << k
             << ": grid diverged from the serial broadcast reference";
+        EXPECT_EQ(got.code, want.code) << "site " << i << " sample " << k;
+        // Exact doubles: the drain ladder must reproduce each site's own
+        // decode operand-for-operand.
+        ASSERT_EQ(got.bin.lo.has_value(), want.bin.lo.has_value());
+        ASSERT_EQ(got.bin.hi.has_value(), want.bin.hi.has_value());
+        if (want.bin.lo) {
+          EXPECT_EQ(got.bin.lo->value(), want.bin.lo->value())
+              << "site " << i << " sample " << k;
+        }
+        if (want.bin.hi) {
+          EXPECT_EQ(got.bin.hi->value(), want.bin.hi->value())
+              << "site " << i << " sample " << k;
+        }
       }
     }
   }

@@ -228,8 +228,9 @@ TEST(RawPath, BehavioralMeasureRawPlusLadderReassemblesMeasure) {
   }
 }
 
-// Type-erased handles advertise and honor the raw capability; the default
-// IMeasureEngine fallback (derive from measure()) matches too.
+// Type-erased handles advertise and honor the raw capability: the
+// vectorized raw batch carries the same word, code and timestamp as the
+// scalar measure() loop, and decodes to the same bin.
 TEST(RawPath, EngineHandleRawBatchMatchesMeasureBatch) {
   const auto& model = calib::calibrated().model;
   const analog::ConstantRail rail{Volt{0.95}};
@@ -241,17 +242,22 @@ TEST(RawPath, EngineHandleRawBatchMatchesMeasureBatch) {
                                           rails, options);
   ASSERT_TRUE(a->supports_raw_samples());
 
-  MeasureRequest first;
-  first.start = Picoseconds{0.0};
-  std::vector<Measurement> ms;
-  a->measure_batch(first, Picoseconds{10000.0}, 5, ms);
+  const Picoseconds interval{10000.0};
   std::vector<RawSample> raws;
-  b->measure_raw_batch(first, Picoseconds{10000.0}, 5, raws);
-  ASSERT_EQ(ms.size(), raws.size());
-  for (std::size_t k = 0; k < ms.size(); ++k) {
-    EXPECT_EQ(raws[k].word, ms[k].word) << "sample " << k;
-    EXPECT_EQ(raws[k].code, ms[k].code);
-    EXPECT_EQ(raws[k].timestamp.value(), ms[k].timestamp.value());
+  b->measure_raw_batch(MeasureRequest{}, interval, 5, raws);
+  ASSERT_EQ(raws.size(), 5u);
+  for (std::size_t k = 0; k < raws.size(); ++k) {
+    MeasureRequest req;
+    req.start = Picoseconds{static_cast<double>(k) * interval.value()};
+    const Measurement m = a->measure(req);
+    EXPECT_EQ(raws[k].word, m.word) << "sample " << k;
+    EXPECT_EQ(raws[k].code, m.code);
+    EXPECT_EQ(raws[k].timestamp.value(), m.timestamp.value());
+    const VoltageBin bin = b->decode(raws[k].word, raws[k].code);
+    ASSERT_EQ(bin.lo.has_value(), m.bin.lo.has_value());
+    ASSERT_EQ(bin.hi.has_value(), m.bin.hi.has_value());
+    if (m.bin.lo) { EXPECT_EQ(bin.lo->value(), m.bin.lo->value()); }
+    if (m.bin.hi) { EXPECT_EQ(bin.hi->value(), m.bin.hi->value()); }
   }
 }
 
