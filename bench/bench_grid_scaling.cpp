@@ -1,16 +1,20 @@
-// Grid runtime scaling — parallel scan-grid samples/sec vs thread count.
+// Grid runtime scaling — parallel scan-grid samples/sec vs worker count.
 //
-// The ROADMAP's scaling story quantified: a 16-site PSN scan grid (the
-// paper's Fig. 6 sensor replicated across a 4×4 floorplan) sampled through
-// the grid::ScanGrid runtime at 1/2/4/8 threads, against the single-thread
-// configuration as baseline. The table reports throughput, speedup, and a
-// bit-identity check of every per-site thermometer code and decoded bin
-// against the serial scan::PsnScanChain::broadcast_measure reference —
-// parallelism must never change a single measured word or bin.
+// The scaling story quantified at a size where it can show: a 256-site PSN
+// scan grid (the paper's Fig. 6 sensor replicated across a 16×16
+// floorplan), 2048 samples per site, with a serve::TelemetryStore attached
+// as in the grid_monitor deployment, sampled through the grid::ScanGrid
+// runtime at 1/2/4 workers. The table reports throughput, speedup, and a
+// bit-identity check of every per-site thermometer word, code and decoded
+// bin against the serial scan::PsnScanChain::broadcast_measure reference —
+// parallelism must never change a single measured word or bin. The sweep
+// lands in BENCH_grid.json as the ungated `grid_scaling_store` section,
+// stamped with the host and build it ran on.
 //
 // A second section times the grid's one capture path (vectorized SoA batch
-// capture + bulk drain decode) serially at one thread and writes it to
-// BENCH_grid.json as `grid_batch`.
+// capture + worker-side decode) serially at one thread on a 16-site grid
+// and writes it to BENCH_grid.json as `grid_batch`.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -22,21 +26,28 @@
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
 #include "scan/scan_chain.h"
+#include "serve/store.h"
 
 namespace psnt {
 namespace {
 
 using namespace psnt::literals;
 
+// The serial-cost grid (grid_batch).
 constexpr std::size_t kRows = 4;
 constexpr std::size_t kCols = 4;
 constexpr std::size_t kSamples = 96;
+// The store-attached scaling grid (grid_scaling_store, BM_GridScan).
+constexpr std::size_t kScaleRows = 16;
+constexpr std::size_t kScaleCols = 16;
+constexpr std::size_t kScaleSamples = 2048;
 constexpr std::uint64_t kSeed = 2026;
 
-grid::ScanGridConfig grid_config(std::size_t threads) {
+grid::ScanGridConfig grid_config(std::size_t threads,
+                                 std::size_t samples = kSamples) {
   grid::ScanGridConfig config;
   config.threads = threads;
-  config.samples_per_site = kSamples;
+  config.samples_per_site = samples;
   config.interval = Picoseconds{10000.0};
   config.code = core::DelayCode{3};
   config.seed = kSeed;
@@ -53,8 +64,8 @@ grid::RailFactory bench_rails(const scan::Floorplan& fp) {
 // Serial reference measurements[site][sample] via the scan-chain broadcast
 // API (each word decoded against its own site's engine).
 std::vector<std::vector<core::Measurement>> serial_reference(
-    const scan::Floorplan& fp) {
-  const auto config = grid_config(1);
+    const scan::Floorplan& fp, std::size_t samples) {
+  const auto config = grid_config(1, samples);
   const auto& model = calib::calibrated().model;
   const auto factory = bench_rails(fp);
   scan::PsnScanChain chain{fp, config.thermometer};
@@ -66,8 +77,8 @@ std::vector<std::vector<core::Measurement>> serial_reference(
                       calib::make_paper_thermometer(model, config.thermometer));
   }
   std::vector<std::vector<core::Measurement>> measurements(
-      fp.site_count(), std::vector<core::Measurement>(kSamples));
-  for (std::size_t k = 0; k < kSamples; ++k) {
+      fp.site_count(), std::vector<core::Measurement>(samples));
+  for (std::size_t k = 0; k < samples; ++k) {
     const auto snapshot = chain.broadcast_measure(
         Picoseconds{static_cast<double>(k) * 10000.0}, config.code);
     for (std::size_t i = 0; i < snapshot.size(); ++i) {
@@ -75,6 +86,37 @@ std::vector<std::vector<core::Measurement>> serial_reference(
     }
   }
   return measurements;
+}
+
+// True when every sample of `result` is valid and its word, code and bin
+// equal the serial reference bit for bit.
+bool identical_to_reference(
+    const grid::RunResult& result,
+    const std::vector<std::vector<core::Measurement>>& reference) {
+  bool identical = result.sites.size() == reference.size();
+  for (std::size_t i = 0; identical && i < result.sites.size(); ++i) {
+    for (std::size_t k = 0; k < reference[i].size(); ++k) {
+      const auto& got = result.sites[i].samples[k];
+      const auto& want = reference[i][k];
+      identical &= result.sites[i].valid[k];
+      identical &= got.word == want.word && got.code == want.code;
+      identical &= got.bin.lo == want.bin.lo && got.bin.hi == want.bin.hi;
+    }
+  }
+  return identical;
+}
+
+// One store-attached scaling run: the grid_monitor shape, the drain being
+// the store's single writer.
+grid::RunResult run_with_store(const scan::Floorplan& fp,
+                               std::size_t workers) {
+  serve::StoreConfig store_config;
+  store_config.site_count = fp.site_count();
+  store_config.shards = 1;
+  auto config = grid_config(workers, kScaleSamples);
+  config.store = std::make_shared<serve::TelemetryStore>(store_config);
+  grid::ScanGrid g{fp, config, bench_rails(fp)};
+  return g.run();
 }
 
 void report_simcore_structural();
@@ -114,56 +156,83 @@ SerialRun measure_serial(const scan::Floorplan& fp, int repeats = 3) {
 
 void report() {
   bench::section(
-      "grid scaling — 16-site scan grid, samples/sec vs threads (streaming)");
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, kRows, kCols);
-  const auto reference = serial_reference(fp);
+      "grid scaling — 256-site store-attached grid, 2048 samples/site, "
+      "samples/sec vs workers → BENCH_grid.json");
+  const auto scale_fp =
+      scan::Floorplan::grid(4000.0, 4000.0, kScaleRows, kScaleCols);
+  const auto scale_reference = serial_reference(scale_fp, kScaleSamples);
 
-  const auto identical_to_reference = [&](const grid::RunResult& result) {
-    bool identical = true;
-    for (std::size_t i = 0; i < result.sites.size(); ++i) {
-      for (std::size_t k = 0; k < kSamples; ++k) {
-        const auto& got = result.sites[i].samples[k];
-        const auto& want = reference[i][k];
-        identical &= result.sites[i].valid[k];
-        identical &= got.word == want.word && got.code == want.code;
-        identical &= got.bin.lo == want.bin.lo && got.bin.hi == want.bin.hi;
+  // Worker sweep, best (minimum wall) of kRepeats runs per worker count.
+  // The repeats interleave the worker counts, so a burst of load from
+  // elsewhere on a shared host cannot sink every run of one count.
+  constexpr std::array<std::size_t, 3> kWorkers = {1, 2, 4};
+  constexpr int kRepeats = 5;
+  std::array<grid::RunResult, kWorkers.size()> best;
+  std::array<bool, kWorkers.size()> identical{};
+  identical.fill(true);
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+      auto run = run_with_store(scale_fp, kWorkers[w]);
+      identical[w] &= identical_to_reference(run, scale_reference);
+      if (r == 0 || run.wall_seconds < best[w].wall_seconds) {
+        best[w] = std::move(run);
       }
     }
-    return identical;
-  };
+  }
 
-  // Thread sweep.
-  util::CsvTable table({"threads", "sites", "samples", "wall_ms",
-                        "samples_per_sec", "speedup_vs_1t", "ring_stalls",
+  util::CsvTable table({"workers", "sites", "samples", "wall_ms",
+                        "samples_per_sec", "speedup_vs_1w", "ring_stalls",
                         "bit_identical_to_serial"});
-  double baseline_sps = 0.0;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    grid::ScanGrid g{fp, grid_config(threads), bench_rails(fp)};
-    const auto result = g.run();
-    if (threads == 1) baseline_sps = result.samples_per_second;
+  bench::JsonReport grid_json{"BENCH_grid.json"};
+  bool all_identical = true;
+  const double baseline_sps = best[0].samples_per_second;
+  for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+    all_identical &= identical[w];
+    const double speedup =
+        baseline_sps > 0.0 ? best[w].samples_per_second / baseline_sps : 0.0;
     table.new_row()
-        .add(static_cast<long long>(threads))
-        .add(static_cast<long long>(fp.site_count()))
-        .add(static_cast<long long>(result.produced))
-        .add(result.wall_seconds * 1e3, 4)
-        .add(result.samples_per_second, 7)
-        .add(baseline_sps > 0.0 ? result.samples_per_second / baseline_sps
-                                : 0.0,
-             3)
-        .add(static_cast<long long>(result.ring_stalls))
-        .add(identical_to_reference(result) ? "yes" : "NO");
+        .add(static_cast<long long>(kWorkers[w]))
+        .add(static_cast<long long>(scale_fp.site_count()))
+        .add(static_cast<long long>(best[w].produced))
+        .add(best[w].wall_seconds * 1e3, 4)
+        .add(best[w].samples_per_second, 7)
+        .add(speedup, 3)
+        .add(static_cast<long long>(best[w].ring_stalls))
+        .add(identical[w] ? "yes" : "NO");
+    const std::string key = std::to_string(kWorkers[w]) + "w";
+    grid_json.set("grid_scaling_store", "samples_per_sec_" + key,
+                  best[w].samples_per_second);
+    if (w > 0) {
+      grid_json.set("grid_scaling_store", "speedup_" + key + "_vs_1w",
+                    speedup);
+    }
   }
   bench::print_table(table);
   bench::note("hardware_concurrency=" +
               std::to_string(std::thread::hardware_concurrency()) +
-              "; speedup tracks physical cores — runs on a single-core "
-              "machine serialise and report ~1.0x");
+              "; the caller thread is the store lane (the store's single "
+              "writer) beside the workers: speedup stops where the workers "
+              "outrun it, and runs on a single-core machine serialise and "
+              "report ~1.0x");
   bench::note("bit_identical_to_serial must read 'yes' in every row: the "
-              "runtime guarantees thread count never changes a measurement");
+              "runtime guarantees worker count never changes a measurement");
+  // Throughput is host-dependent and ungated; the correctness bit is
+  // enforced like every other identity bit.
+  grid_json.set("grid_scaling_store", "sites",
+                static_cast<double>(scale_fp.site_count()));
+  grid_json.set("grid_scaling_store", "samples_per_site",
+                static_cast<double>(kScaleSamples));
+  grid_json.set("grid_scaling_store", "bit_identical_to_serial",
+                all_identical ? 1.0 : 0.0);
+  grid_json.set_raw("grid_scaling_store", "provenance",
+                    bench::provenance_json());
+
+  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, kRows, kCols);
+  const auto reference = serial_reference(fp, kSamples);
 
   bench::section("grid serial cost — 1 thread → BENCH_grid.json");
   const auto batch = measure_serial(fp);
-  const bool batch_serial_ok = identical_to_reference(batch.result);
+  const bool batch_serial_ok = identical_to_reference(batch.result, reference);
   {
     char line[200];
     std::snprintf(line, sizeof(line),
@@ -176,12 +245,11 @@ void report() {
 
   // Behavioral-grid perf baseline → BENCH_grid.json, gated by
   // bench/check_bench_regression.py exactly like BENCH_simcore.json.
-  // `grid_batch` is the vectorized SoA capture + bulk drain decode, the
+  // `grid_batch` is the vectorized SoA capture + worker-side decode, the
   // grid's one capture path: ns_per_measure is the serial (1-thread)
   // end-to-end cost per published sample through the engine layer;
   // allocs_per_measure counts every operator-new in the process across that
   // run (engine construction amortised over sites × samples).
-  bench::JsonReport grid_json{"BENCH_grid.json"};
   grid_json.set("grid_batch", "ns_per_measure", batch.ns_per_measure);
   grid_json.set("grid_batch", "allocs_per_measure", batch.allocs_per_measure);
   grid_json.set("grid_batch", "samples_per_sec_1t", batch.samples_per_sec);
@@ -287,20 +355,21 @@ void report_simcore_structural() {
   bench::note(line);
 }
 
+// The store-attached 256 × 2048 scaling run, per worker count. Items are
+// samples, so items_per_second is the grid's samples/sec.
 void BM_GridScan(benchmark::State& state) {
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, kRows, kCols);
-  const auto threads = static_cast<std::size_t>(state.range(0));
+  const auto fp =
+      scan::Floorplan::grid(4000.0, 4000.0, kScaleRows, kScaleCols);
+  const auto workers = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto config = grid_config(threads);
-    config.samples_per_site = 16;
-    grid::ScanGrid g{fp, config, bench_rails(fp)};
-    const auto result = g.run();
+    const auto result = run_with_store(fp, workers);
     benchmark::DoNotOptimize(result.produced);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fp.site_count()) * 16);
+                          static_cast<std::int64_t>(fp.site_count()) *
+                          static_cast<std::int64_t>(kScaleSamples));
 }
-BENCHMARK(BM_GridScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_GridScan)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -14,7 +14,7 @@
 // Note on decoding: attaching an injector activates the chaos loop, whose
 // retry/vote/quarantine decisions read only fault flags, words and failure
 // streaks. It ships raw (majority-voted) words through the rings like the
-// plain loops, and the drain-pass ENC + DecodeLadder decode every one of
+// plain loops, and the workers' ENC + DecodeLadder decode every one of
 // them — the grid.enc.* counters below cover the chaos samples too.
 #include <cstdio>
 #include <iostream>

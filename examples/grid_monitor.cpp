@@ -3,10 +3,10 @@
 //
 // A 4×4 grid of sensor sites over one die, local rails derived from a solved
 // first-droop PDN waveform (corner sites droop harder), sampled by the
-// grid::ScanGrid runtime on a thread pool. Workers ship capture-only raw
-// words through the SPSC rings (the grid's one capture path); the
-// aggregator's drain pass runs ENC + voltage conversion, tallies the
-// grid.enc.* statistics, and feeds every decoded sample into the attached
+// grid::ScanGrid runtime on a thread pool. Workers capture raw words (the
+// grid's one capture path), run ENC + voltage conversion on them, tally the
+// grid.enc.* statistics, and ship decoded readings through the SPSC rings;
+// the caller thread's store lane feeds every one into the attached
 // serve::TelemetryStore. Reporting then goes through the store's query API
 // (DESIGN.md §13) — throughput, voltage quantiles, worst-droop leaderboard,
 // degradation — plus the runtime telemetry and the die voltage map. The old
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.ring_stalls),
               static_cast<unsigned long long>(result.dropped));
 
-  std::printf("drain-pass ENC: %llu words (%llu underflow, %llu overflow, "
+  std::printf("worker ENC: %llu words (%llu underflow, %llu overflow, "
               "%llu bubbled)\n\n",
               static_cast<unsigned long long>(
                   grid.telemetry().counter("grid.enc.words").value()),

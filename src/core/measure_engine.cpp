@@ -443,7 +443,8 @@ class StructuralEngineHandle final : public IMeasureEngine {
                          std::size_t count,
                          std::vector<RawSample>& out) override {
     // The big win for the netlist backend: one simulator run for the whole
-    // batch and zero per-word decode — the drain pass owns ENC + voltage.
+    // batch and zero per-word decode — the caller's span pass owns ENC +
+    // voltage.
     const DelayCode code = resolve_code(first);
     const auto words = run_words(code, count);
     out.reserve(out.size() + count);

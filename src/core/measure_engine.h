@@ -318,8 +318,8 @@ class IMeasureEngine {
 
   // --- raw-capture path (the grid's only capture path) ------------------
   // True when the backend captures RawSamples natively, skipping ENC and
-  // voltage conversion on its own thread (the grid drain then encodes and
-  // decodes in bulk). Without it the raw entry points still work: their
+  // voltage conversion per word (the grid worker then encodes and decodes
+  // the whole batch in bulk). Without it the raw entry points still work: their
   // defaults run a full measure() and drop the bin.
   [[nodiscard]] virtual bool supports_raw_samples() const { return false; }
   // One capture-only transaction: word + code + launch instant, no ENC, no

@@ -29,16 +29,6 @@ Volt VoltageBin::estimate() const {
   return Volt{0.0};
 }
 
-Measurement assemble_measurement(const RawSample& raw, const VoltageBin& bin) {
-  Measurement m;
-  m.timestamp = raw.timestamp;
-  m.target = raw.target;
-  m.code = raw.code;
-  m.word = raw.word;
-  m.bin = bin;
-  return m;
-}
-
 std::string VoltageBin::to_string() const {
   std::ostringstream os;
   if (lo && hi) {

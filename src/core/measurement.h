@@ -66,10 +66,10 @@ struct Measurement {
 };
 
 // Wire-sized capture record: what the FF array latches (Fig. 6) before the
-// ENC block runs. A site that ships RawSamples pays no per-sample encode or
-// voltage conversion on its capture path — the downstream drain pass
-// (core::StreamingEncoder + DecodeLadder) turns spans of these into
-// readings. `site_id`/`sample_index` are transport coordinates filled in by
+// ENC block runs. A capture that yields RawSamples pays no per-sample encode
+// or voltage conversion inside the engine — a downstream span pass
+// (core::StreamingEncoder + DecodeLadder; on the grid, the capturing worker
+// itself) turns spans of these into readings. `site_id`/`sample_index` are transport coordinates filled in by
 // the consumer that schedules the capture (the scan grid, the scan chain);
 // engines leave them zero.
 struct RawSample {
@@ -89,8 +89,17 @@ struct DecodedReading {
 
 // Reassembles the legacy value type from its split halves. Bit-identical to
 // a Measurement produced by an engine's own measure() when `bin` came from
-// the same ladder the engine decodes with.
-[[nodiscard]] Measurement assemble_measurement(const RawSample& raw,
-                                               const VoltageBin& bin);
+// the same ladder the engine decodes with. Inline: grid workers call it once
+// per sample.
+[[nodiscard]] inline Measurement assemble_measurement(const RawSample& raw,
+                                                      const VoltageBin& bin) {
+  Measurement m;
+  m.timestamp = raw.timestamp;
+  m.target = raw.target;
+  m.code = raw.code;
+  m.word = raw.word;
+  m.bin = bin;
+  return m;
+}
 
 }  // namespace psnt::core

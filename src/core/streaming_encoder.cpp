@@ -20,21 +20,25 @@ constexpr std::array<std::uint32_t, ThermoWord::kMaxBits + 1> make_canonical() {
 
 constexpr auto kCanonical = make_canonical();
 
-}  // namespace
-
-EncodedWord StreamingEncoder::encode(const ThermoWord& word) {
+// One word through ENC, tallied into `stats`. encode_span passes a local
+// tally so the counters stay in registers across the span instead of being
+// re-stored after every output write (EncodedWord's byte fields may alias
+// them).
+EncodedWord encode_word(const ThermoWord& word, BubblePolicy policy,
+                        StreamingEncodeStats& stats) {
   const std::uint32_t bits = word.raw();
-  const auto ones = static_cast<std::size_t>(std::popcount(bits));
+  const std::size_t ones = word.count_ones();
 
   EncodedWord out;
   // popcount(bits ^ canonical-with-same-popcount): exactly
   // ThermoWord::bubble_error_count(), without materializing the canonical
-  // word per call.
-  out.bubble_errors =
-      static_cast<std::uint8_t>(std::popcount(bits ^ kCanonical[ones]));
+  // word per call. Bubble-free words (the common case) skip the popcount.
+  const std::uint32_t bubbles = bits ^ kCanonical[ones];
+  out.bubble_errors = static_cast<std::uint8_t>(
+      bubbles == 0 ? 0 : std::popcount(bubbles));
 
   std::size_t count = ones;
-  switch (policy_) {
+  switch (policy) {
     case BubblePolicy::kMajority:
       break;
     case BubblePolicy::kReject:
@@ -52,20 +56,30 @@ EncodedWord StreamingEncoder::encode(const ThermoWord& word) {
   out.underflow = count == 0;
   out.overflow = count == word.width();
 
-  ++stats_.words;
-  if (out.underflow) ++stats_.underflows;
-  if (out.overflow) ++stats_.overflows;
+  ++stats.words;
+  if (out.underflow) ++stats.underflows;
+  if (out.overflow) ++stats.overflows;
   if (out.bubble_errors > 0) {
-    ++stats_.bubbled_words;
-    stats_.bubble_errors += out.bubble_errors;
+    ++stats.bubbled_words;
+    stats.bubble_errors += out.bubble_errors;
   }
-  if (!out.valid) ++stats_.rejected;
+  if (!out.valid) ++stats.rejected;
   return out;
+}
+
+}  // namespace
+
+EncodedWord StreamingEncoder::encode(const ThermoWord& word) {
+  return encode_word(word, policy_, stats_);
 }
 
 void StreamingEncoder::encode_span(const ThermoWord* words, std::size_t count,
                                    EncodedWord* out) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = encode(words[i]);
+  StreamingEncodeStats stats = stats_;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = encode_word(words[i], policy_, stats);
+  }
+  stats_ = stats;
 }
 
 DecodeLadder::DecodeLadder(const SensorArray& array, const PulseGenerator& pg)

@@ -1,9 +1,9 @@
-// Streaming ENC: the drain-pass half of the capture/decode split.
+// Streaming ENC: the encode half of the capture/decode split.
 //
 // The paper's readout (Fig. 6) captures the FF-array vector first and encodes
 // it downstream (ENC → OUTE). StreamingEncoder is that downstream block for
-// software consumers that move raw words in bulk — the grid aggregator, the
-// scan chain's broadcast decode: it batch-encodes spans of ThermoWords
+// software consumers that move raw words in bulk — each scan-grid worker
+// (one encoder per shard), the scan chain's broadcast decode: it batch-encodes spans of ThermoWords
 // bit-identically to core::Encoder while amortizing the bubble bookkeeping
 // (canonical masks come from a precomputed table instead of a per-word
 // ThermoWord round-trip) and keeping running under/overflow + bubble
@@ -52,7 +52,7 @@ class StreamingEncoder {
   EncodedWord encode(const ThermoWord& word);
 
   // Encodes `count` words into `out` (caller-sized). The batch entry point
-  // the drain pass uses; equivalent to calling encode() per word.
+  // the grid workers use; equivalent to calling encode() per word.
   void encode_span(const ThermoWord* words, std::size_t count,
                    EncodedWord* out);
 
@@ -82,7 +82,7 @@ class DecodeLadder {
   [[nodiscard]] VoltageBin decode(const ThermoWord& word, DelayCode code) const;
   // Bulk form of decode(): converts `count` parallel (word, code) pairs into
   // `out` (caller-sized). One bounds check up front instead of per word —
-  // the drain pass runs this over each batch it pops off a shard ring.
+  // every grid worker runs this over each site batch it captures.
   void decode_span(const ThermoWord* words, const DelayCode* codes,
                    std::size_t count, VoltageBin* out) const;
   // GND-n view, mirroring BatchedSenseKernel::decode_gnd.

@@ -47,10 +47,6 @@ void ThermoWord::set_bit(std::size_t i, bool value) {
   }
 }
 
-std::size_t ThermoWord::count_ones() const {
-  return static_cast<std::size_t>(std::popcount(bits_));
-}
-
 bool ThermoWord::is_valid_thermometer() const {
   // Ones contiguous from bit 0  ⇔  bits+1 is a power of two.
   return std::has_single_bit(bits_ + 1u) ||

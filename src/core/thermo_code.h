@@ -9,6 +9,7 @@
 // population count, the same policy flash converters use.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -30,8 +31,16 @@ class ThermoWord {
   [[nodiscard]] bool bit(std::size_t i) const;
   void set_bit(std::size_t i, bool value);
 
-  // Number of correct cells — the thermometer reading.
-  [[nodiscard]] std::size_t count_ones() const;
+  // Number of correct cells — the thermometer reading. Inline, with the
+  // common case first: a bubble-free word's count is its bit width (one
+  // bit-scan), while std::popcount is a library call on x86-64 builds
+  // without POPCNT — the per-sample decode and ENC paths call this per word.
+  [[nodiscard]] std::size_t count_ones() const {
+    if ((bits_ & (bits_ + 1u)) == 0) {  // ones contiguous from bit 0
+      return static_cast<std::size_t>(std::bit_width(bits_));
+    }
+    return static_cast<std::size_t>(std::popcount(bits_));
+  }
   // True when the ones form a contiguous run starting at bit 0 (includes the
   // all-zeros and all-ones words).
   [[nodiscard]] bool is_valid_thermometer() const;

@@ -18,15 +18,6 @@ namespace psnt::grid {
 
 namespace {
 
-// One capture in flight from a worker to the aggregator. `raw.site_id`
-// carries the grid-internal site *index* (matrix row), `raw.sample_index`
-// the column. Every capture loop ships the raw word only; the drain pass
-// owns ENC + voltage conversion for all of them.
-struct GridSample {
-  core::RawSample raw;
-  double wall_us = 0.0;  // producer-side wall time of the measure
-};
-
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -60,69 +51,126 @@ struct ScanGrid::Site {
   std::uint64_t lost = 0;
   std::uint64_t vote_overrides = 0;
   std::vector<fault::FaultEvent> trace;
+
+  // The site's row of the result matrix, written only by the owning worker
+  // (grown batch by batch) and moved into RunResult after the pool joins.
+  SiteResult row;
 };
 
 struct ScanGrid::Shard {
   std::size_t index = 0;
   std::vector<Site*> sites;
-  SpscRing<GridSample> ring;
-  // Capture buffers, reused across batches. Touched only by the shard's
-  // single worker thread.
-  std::vector<core::RawSample> scratch;
-  std::vector<GridSample> sample_scratch;
+  // Decoded readings on their way to the store lane. The record is the
+  // store's own ingest record; the drain hands it over unchanged.
+  SpscRing<serve::IngestRecord> ring;
+  // The shard's ENC block (Fig. 6: one encoder per replicated sensor
+  // system). Its running tallies are summed into grid.enc.* after the run.
+  core::StreamingEncoder enc;
+  // Per-batch buffers, reused across batches. Touched only by the shard's
+  // single worker thread. raws/words/codes/bins/records are parallel arrays
+  // indexed by the batch's published samples.
+  std::vector<core::RawSample> raws;
+  std::vector<core::ThermoWord> words;
+  std::vector<core::DelayCode> codes;
+  std::vector<core::VoltageBin> bins;
+  std::vector<core::EncodedWord> encoded;
+  std::vector<serve::IngestRecord> records;
+  std::vector<std::uint32_t> forced_pushes;  // chaos: ring-storm pushes
+  std::vector<double> latency_vals;
+  std::vector<double> volt_vals;
+  std::vector<double> vdd_vals;   // site_vdd_volts feed
+  std::vector<double> ones_vals;  // site_word_ones feed
   std::atomic<bool> done{false};
 
-  explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
+  Shard(std::size_t ring_capacity, core::BubblePolicy bubble_policy)
+      : ring(ring_capacity), enc(bubble_policy) {}
+};
+
+// Telemetry instruments of the chaos path, resolved once at construction.
+struct ScanGrid::ChaosCounters {
+  explicit ChaosCounters(TelemetryRegistry& t)
+      : injected(t.counter("grid.fault.injected")),
+        retries(t.counter("grid.retries")),
+        recovered(t.counter("grid.samples_recovered")),
+        lost(t.counter("grid.samples_lost")),
+        quarantined(t.counter("grid.sites_quarantined")),
+        vote_overrides(t.counter("grid.vote_overrides")),
+        timeouts(t.counter("grid.measure_timeouts")),
+        backoff_us(t.counter("grid.backoff_us")) {
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      by_kind[k] = &t.counter(std::string("grid.fault.") +
+                              fault::to_string(static_cast<fault::FaultKind>(k)));
+    }
+  }
+
+  Counter& injected;
+  Counter& retries;
+  Counter& recovered;
+  Counter& lost;
+  Counter& quarantined;
+  Counter& vote_overrides;
+  Counter& timeouts;
+  Counter& backoff_us;
+  std::array<Counter*, fault::kFaultKindCount> by_kind{};
 };
 
 namespace {
+
+using RecordRing = SpscRing<serve::IngestRecord>;
 
 // Producer-side backpressure: block (lossless, stalls counted) or drop the
 // newest sample (lossy, drops counted). `produced` counts every attempt.
 // `forced_full_pushes` is the ring-overflow-storm hook: that many pushes are
 // treated as having hit a full ring before the real push happens — stalls
-// under kBlockProducer (lossless), a drop under kDropNewest.
-void push_with_backpressure(BackpressurePolicy policy,
-                            SpscRing<GridSample>& ring, GridSample& sample,
-                            Counter& stalls, Counter& drops, Counter& produced,
-                            std::uint32_t forced_full_pushes = 0) {
+// under kBlockProducer (lossless), a drop under kDropNewest. Returns whether
+// the ring accepted the record.
+bool push_with_backpressure(BackpressurePolicy policy, RecordRing& ring,
+                            const serve::IngestRecord& record, Counter& stalls,
+                            Counter& drops, Counter& produced,
+                            std::uint32_t forced_full_pushes) {
   produced.increment();
   if (policy == BackpressurePolicy::kBlockProducer) {
     for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
       stalls.increment();
       std::this_thread::yield();
     }
-    while (!ring.try_push(std::move(sample))) {
+    while (!ring.try_push(record)) {
       stalls.increment();
       std::this_thread::yield();
     }
-  } else if (forced_full_pushes > 0 || !ring.try_push(std::move(sample))) {
-    drops.increment();
+    return true;
   }
+  if (forced_full_pushes > 0 || !ring.try_push(record)) {
+    drops.increment();
+    return false;
+  }
+  return true;
 }
 
 // Span form for the batched capture path: one try_push_span call moves the
 // whole batch through two atomics when the ring has room; the remainder (a
 // full ring) falls back to the same per-sample policy semantics as above —
 // block-and-yield with stalls counted, or drop with every lost sample
-// counted.
-void push_span_with_backpressure(BackpressurePolicy policy,
-                                 SpscRing<GridSample>& ring,
-                                 GridSample* samples, std::size_t n,
-                                 Counter& stalls, Counter& drops,
-                                 Counter& produced) {
+// counted. Returns how many records the ring accepted: all `n`, or under
+// kDropNewest the prefix that fit.
+std::size_t push_span_with_backpressure(BackpressurePolicy policy,
+                                        RecordRing& ring,
+                                        serve::IngestRecord* records,
+                                        std::size_t n, Counter& stalls,
+                                        Counter& drops, Counter& produced) {
   produced.increment(n);
-  std::size_t done = ring.try_push_span(samples, n);
+  std::size_t done = ring.try_push_span(records, n);
   while (done < n) {
     if (policy == BackpressurePolicy::kBlockProducer) {
       stalls.increment();
       std::this_thread::yield();
-      done += ring.try_push_span(samples + done, n - done);
+      done += ring.try_push_span(records + done, n - done);
     } else {
       drops.increment(n - done);
-      return;
+      break;
     }
   }
+  return done;
 }
 
 }  // namespace
@@ -149,6 +197,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
                "the grid drain is a single writer; use a 1-shard store");
   }
   chaos_ = config_.injector != nullptr || config_.resilience.enabled();
+  if (chaos_) chaos_counters_ = std::make_unique<ChaosCounters>(telemetry_);
 
   // Resolve the hot-path instruments once: counter() takes a std::string
   // and these names overflow SSO, so looking them up per site batch was the
@@ -159,10 +208,17 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   hot_.sim_events = &telemetry_.counter("grid.sim_events");
   hot_.sim_allocs = &telemetry_.counter("grid.sim_allocs");
   hot_.structural_ns = &telemetry_.counter("grid.structural_ns");
+  hot_.latency =
+      &telemetry_.histogram("grid.measure_latency_us", 0.0, 500.0, 50);
+  hot_.volts = &telemetry_.histogram("grid.vdd_volts", 0.7, 1.3, 60);
+  hot_.vdd_rollup =
+      &telemetry_.site_rollup("site_vdd_volts", floorplan.site_count());
+  hot_.ones_rollup =
+      &telemetry_.site_rollup("site_word_ones", floorplan.site_count());
 
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
-  // Built on the constructor thread, immutable afterwards: the drain pass
+  // Built on the constructor thread, immutable afterwards: every worker
   // decodes against this instead of any engine's mutable kernel cache.
   ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
 
@@ -173,6 +229,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
     auto site = std::make_unique<Site>();
     site->id = record.id;
     site->index = static_cast<std::uint32_t>(sites_.size());
+    site->row.site_id = record.id;
     auto rng = site_rng(config_.seed, record.id);
     site->vdd = vdd_factory(record, rng);
     PSNT_CHECK(site->vdd != nullptr, "RailFactory returned null vdd rail");
@@ -208,7 +265,8 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   const std::size_t shard_count = std::min(config_.threads, sites_.size());
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(config_.ring_capacity);
+    auto shard = std::make_unique<Shard>(config_.ring_capacity,
+                                         config_.thermometer.bubble_policy);
     shard->index = s;
     for (std::size_t i = s; i < sites_.size(); i += shard_count) {
       shard->sites.push_back(sites_[i].get());
@@ -278,25 +336,25 @@ void ScanGrid::capture_site_batch(Site& site, std::size_t first,
   core::IMeasureEngine& engine = *site.engine;
   const bool batched = engine.prefers_batch();
 
-  shard.scratch.clear();
+  shard.raws.clear();
   const double t0 = now_seconds();
   if (batched) {
     // One backend run for the whole batch — the vectorized behavioral SoA
-    // capture or the structural netlist — zero per-word decode anywhere on
-    // the worker.
+    // capture or the structural netlist — with no per-word decode inside
+    // the capture itself.
     core::MeasureRequest req;
     req.start = sample_time(first);
-    engine.measure_raw_batch(req, config_.interval, count, shard.scratch);
+    engine.measure_raw_batch(req, config_.interval, count, shard.raws);
   } else {
     // Per-sample captures so auto-range feedback sees every word before the
     // next PREPARE — the same trim sequence a serial measure/observe loop
     // walks, hence the bit-identity guarantee extends to auto-ranged sites.
-    shard.scratch.reserve(count);
+    shard.raws.reserve(count);
     for (std::size_t k = first; k < first + count; ++k) {
       core::MeasureRequest req;
       req.start = sample_time(k);
-      shard.scratch.push_back(engine.measure_raw(req));
-      observe_code_policy(site, shard.scratch.back().word);
+      shard.raws.push_back(engine.measure_raw(req));
+      observe_code_policy(site, shard.raws.back().word);
     }
   }
   const double batch_seconds = now_seconds() - t0;
@@ -315,49 +373,79 @@ void ScanGrid::capture_site_batch(Site& site, std::size_t first,
 
   const double per_sample_us =
       batch_seconds * 1e6 / static_cast<double>(count);
-  shard.sample_scratch.clear();
-  shard.sample_scratch.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    GridSample s;
-    s.raw = shard.scratch[k];
-    s.raw.site_id = site.index;
-    s.raw.sample_index = static_cast<std::uint32_t>(first + k);
-    s.wall_us = per_sample_us;
-    shard.sample_scratch.push_back(std::move(s));
+  decode_batch(shard);
+  const std::size_t n = shard.raws.size();
+  shard.records.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    shard.raws[k].sample_index = static_cast<std::uint32_t>(first + k);
+    fill_record(site, shard, k, per_sample_us);
   }
-  push_span_with_backpressure(config_.backpressure, shard.ring,
-                              shard.sample_scratch.data(),
-                              shard.sample_scratch.size(), *hot_.stalls,
-                              *hot_.drops, *hot_.produced);
+  // Under kDropNewest the ring may take only a prefix; the dropped tail
+  // never reaches the matrix and stays invalid.
+  const std::size_t accepted = push_span_with_backpressure(
+      config_.backpressure, shard.ring, shard.records.data(), n,
+      *hot_.stalls, *hot_.drops, *hot_.produced);
+  finish_batch(site, shard, accepted, first + count);
 }
 
-// Telemetry instruments of the chaos path, resolved once per batch.
-struct ScanGrid::ChaosCounters {
-  explicit ChaosCounters(TelemetryRegistry& t)
-      : injected(t.counter("grid.fault.injected")),
-        retries(t.counter("grid.retries")),
-        recovered(t.counter("grid.samples_recovered")),
-        lost(t.counter("grid.samples_lost")),
-        quarantined(t.counter("grid.sites_quarantined")),
-        vote_overrides(t.counter("grid.vote_overrides")),
-        timeouts(t.counter("grid.measure_timeouts")),
-        backoff_us(t.counter("grid.backoff_us")) {
-    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
-      by_kind[k] = &t.counter(std::string("grid.fault.") +
-                              fault::to_string(static_cast<fault::FaultKind>(k)));
-    }
+void ScanGrid::decode_batch(Shard& shard) const {
+  const std::size_t n = shard.raws.size();
+  shard.words.resize(n);
+  shard.codes.resize(n);
+  shard.bins.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    shard.words[i] = shard.raws[i].word;
+    shard.codes[i] = shard.raws[i].code;
   }
+  ladder_.decode_span(shard.words.data(), shard.codes.data(), n,
+                      shard.bins.data());
+}
 
-  Counter& injected;
-  Counter& retries;
-  Counter& recovered;
-  Counter& lost;
-  Counter& quarantined;
-  Counter& vote_overrides;
-  Counter& timeouts;
-  Counter& backoff_us;
-  std::array<Counter*, fault::kFaultKindCount> by_kind{};
-};
+void ScanGrid::fill_record(const Site& site, Shard& shard, std::size_t i,
+                           double wall_us) {
+  const core::VoltageBin& bin = shard.bins[i];
+  serve::IngestRecord& rec = shard.records[i];
+  rec.site = site.index;
+  rec.timestamp = shard.raws[i].timestamp;
+  rec.volts = bin.estimate().value();
+  rec.latency_us = wall_us;
+  rec.in_range = bin.in_range();
+}
+
+void ScanGrid::finish_batch(Site& site, Shard& shard, std::size_t n,
+                            std::size_t batch_end) {
+  shard.encoded.resize(n);
+  shard.enc.encode_span(shard.words.data(), n,
+                        shard.encoded.data());  // grid.enc.* tallies
+  shard.latency_vals.resize(n);
+  shard.volt_vals.resize(n);
+  shard.vdd_vals.resize(n);
+  shard.ones_vals.resize(n);
+  std::size_t n_volts = 0;
+  std::size_t n_vdd = 0;
+  std::vector<core::Measurement>& samples = site.row.samples;
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::RawSample& raw = shard.raws[i];
+    const core::VoltageBin& bin = shard.bins[i];
+    const double volts = shard.records[i].volts;
+    // The row grows as samples land (indices ascend): the slots of samples
+    // that never arrived are value-initialized and stay invalid.
+    samples.resize(raw.sample_index);
+    samples.push_back(core::assemble_measurement(raw, bin));
+    site.row.valid[raw.sample_index] = true;
+    shard.latency_vals[i] = shard.records[i].latency_us;
+    if (bin.in_range()) shard.volt_vals[n_volts++] = volts;
+    if (!bin.below_range() || !bin.above_range()) {
+      shard.vdd_vals[n_vdd++] = volts;
+    }
+    shard.ones_vals[i] = static_cast<double>(raw.word.count_ones());
+  }
+  samples.resize(batch_end);
+  hot_.latency->observe_span(shard.latency_vals.data(), n);
+  hot_.volts->observe_span(shard.volt_vals.data(), n_volts);
+  hot_.vdd_rollup->add_span(site.index, shard.vdd_vals.data(), n_vdd);
+  hot_.ones_rollup->add_span(site.index, shard.ones_vals.data(), n);
+}
 
 void ScanGrid::record_fault_events(Site& site,
                                    const fault::MeasureFaults& faults,
@@ -498,7 +586,7 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
       out = vote_raws[match];
     } else {
       // Majority word matches no single vote (flips on distinct bits):
-      // publish it on the first vote's code and timestamp; the drain
+      // publish it on the first vote's code and timestamp; the worker
       // decodes it like any other word.
       out = vote_raws.front();
       out.word = winner;
@@ -517,10 +605,13 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
 
 void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
                                         std::size_t count, Shard& shard) {
-  ChaosCounters counters(telemetry_);
+  ChaosCounters& counters = *chaos_counters_;
   const ResiliencePolicy& policy = config_.resilience;
   ensure_engine(site);
 
+  shard.raws.clear();
+  shard.records.clear();
+  shard.forced_pushes.clear();
   for (std::size_t k = first; k < first + count; ++k) {
     if (site.quarantined) {
       ++site.lost;
@@ -528,10 +619,9 @@ void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
       continue;
     }
     const double t0 = now_seconds();
-    GridSample s;
+    core::RawSample raw;
     std::uint32_t forced_stall_pushes = 0;
-    const bool ok =
-        chaos_measure(site, k, s.raw, forced_stall_pushes, counters);
+    const bool ok = chaos_measure(site, k, raw, forced_stall_pushes, counters);
     if (!ok) {
       ++site.lost;
       counters.lost.increment();
@@ -545,13 +635,32 @@ void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
       continue;
     }
     site.fail_streak = 0;
-    observe_code_policy(site, s.raw.word);
-    s.raw.site_id = site.index;
-    s.raw.sample_index = static_cast<std::uint32_t>(k);
-    s.wall_us = (now_seconds() - t0) * 1e6;
-    push_with_backpressure(config_.backpressure, shard.ring, s, *hot_.stalls,
-                           *hot_.drops, *hot_.produced, forced_stall_pushes);
+    observe_code_policy(site, raw.word);
+    raw.sample_index = static_cast<std::uint32_t>(k);
+    shard.raws.push_back(raw);
+    shard.records.emplace_back().latency_us = (now_seconds() - t0) * 1e6;
+    shard.forced_pushes.push_back(forced_stall_pushes);
   }
+
+  // The batch's published samples through the same decode as the plain
+  // loop, then one push each (the ring-overflow storm acts per sample).
+  // Accepted samples are compacted to the front for finish_batch.
+  decode_batch(shard);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < shard.raws.size(); ++i) {
+    fill_record(site, shard, i, shard.records[i].latency_us);
+    if (!push_with_backpressure(config_.backpressure, shard.ring,
+                                shard.records[i], *hot_.stalls, *hot_.drops,
+                                *hot_.produced, shard.forced_pushes[i])) {
+      continue;
+    }
+    shard.raws[accepted] = shard.raws[i];
+    shard.words[accepted] = shard.words[i];
+    shard.bins[accepted] = shard.bins[i];
+    shard.records[accepted] = shard.records[i];
+    ++accepted;
+  }
+  finish_batch(site, shard, accepted, first + count);
 }
 
 void ScanGrid::worker_run_shard(Shard& shard) {
@@ -573,24 +682,14 @@ void ScanGrid::worker_run_shard(Shard& shard) {
   }
 }
 
-void ScanGrid::aggregate(RunResult& result) {
+void ScanGrid::aggregate() {
   auto& drained_counter = telemetry_.counter("grid.samples_drained");
-  auto& latency = telemetry_.histogram("grid.measure_latency_us", 0.0, 500.0, 50);
-  auto& volts = telemetry_.histogram("grid.vdd_volts", 0.7, 1.3, 60);
-  auto& vdd_rollup = telemetry_.site_rollup("site_vdd_volts", sites_.size());
-  auto& ones_rollup = telemetry_.site_rollup("site_word_ones", sites_.size());
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
-  auto& snapshots = telemetry_.counter("grid.snapshots_exported");
 
-  // The streaming ENC block lives here: every ring sample goes through this
-  // encoder (running under/overflow + bubble tallies) and the
-  // shared immutable ladder. Single-threaded by construction — the caller
-  // thread is the only drain.
-  core::StreamingEncoder enc(config_.thermometer.bubble_policy);
-
-  // Serving layer: the drain is the store's single writer. Ingest happens
-  // per sample; the degradation mirror (resilience telemetry → store
-  // atomics) refreshes once per drain sweep, not per sample.
+  // The store lane: the caller thread is the store's single writer. Workers
+  // have already encoded, decoded and assembled every record on the rings;
+  // this loop only ingests them. The degradation mirror (resilience
+  // telemetry → store atomics) refreshes once per drain sweep.
   serve::TelemetryStore* store = config_.store.get();
   Counter* serve_ingested = nullptr;
   Counter* deg_injected = nullptr;
@@ -619,28 +718,11 @@ void ScanGrid::aggregate(RunResult& result) {
     store->set_degradation(status);
   };
 
-  // Drain-pass scratch, reused across sweeps: samples come off each ring in
-  // chunks, the chunk's words go through encode_span/decode_span in one
-  // pass, then every sample is published individually. Function-scope so the
-  // steady state performs no allocation — this was the residual
-  // allocs-per-measure the grid bench still showed after PR 5.
+  // Records come off each ring in chunks; the buffer is function-scope so
+  // the steady state performs no allocation.
   constexpr std::size_t kDrainChunk = 256;
-  std::vector<GridSample> chunk;
-  std::vector<core::ThermoWord> word_scratch;
-  std::vector<core::DelayCode> code_scratch;
-  std::vector<core::EncodedWord> enc_scratch(kDrainChunk);
-  std::vector<core::VoltageBin> bin_scratch(kDrainChunk);
-  chunk.reserve(kDrainChunk);
-  word_scratch.reserve(kDrainChunk);
-  code_scratch.reserve(kDrainChunk);
-  // Histogram feeds buffered per chunk: ValueHistogram locks per call, so
-  // the publish loop collects values and takes the mutex once per span.
-  std::vector<double> latency_vals;
-  std::vector<double> volt_vals;
-  latency_vals.reserve(kDrainChunk);
-  volt_vals.reserve(kDrainChunk);
+  std::vector<serve::IngestRecord> chunk(kDrainChunk);
 
-  std::uint64_t drained = 0;
   for (;;) {
     // Read the done flags BEFORE the drain pass: if every worker had
     // finished before we drained and the rings still came up empty, no new
@@ -656,64 +738,14 @@ void ScanGrid::aggregate(RunResult& result) {
     bool any = false;
     for (const auto& shard : shards_) {
       for (;;) {
-        chunk.resize(kDrainChunk);
-        const std::size_t got = shard->ring.try_pop_span(chunk.data(),
-                                                         kDrainChunk);
-        chunk.resize(got);
+        const std::size_t got =
+            shard->ring.try_pop_span(chunk.data(), kDrainChunk);
         if (got == 0) break;
         any = true;
-        drained_counter.increment(chunk.size());
-        if (store != nullptr) serve_ingested->increment(chunk.size());
-
-        // Streaming ENC + voltage conversion over the whole chunk in one
-        // span each; bin_scratch[i] is sample i's bin in the publish loop.
-        word_scratch.clear();
-        code_scratch.clear();
-        for (const GridSample& s : chunk) {
-          word_scratch.push_back(s.raw.word);
-          code_scratch.push_back(s.raw.code);
-        }
-        enc.encode_span(word_scratch.data(), word_scratch.size(),
-                        enc_scratch.data());  // grid.enc.* telemetry
-        ladder_.decode_span(word_scratch.data(), code_scratch.data(),
-                            word_scratch.size(), bin_scratch.data());
-
-        latency_vals.clear();
-        volt_vals.clear();
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-          const GridSample& s = chunk[i];
-          ++drained;
-          const core::VoltageBin& bin = bin_scratch[i];
-          auto& sr = result.sites[s.raw.site_id];
-          sr.samples[s.raw.sample_index] =
-              core::assemble_measurement(s.raw, bin);
-          sr.valid[s.raw.sample_index] = true;
-          if (store != nullptr) {
-            serve::IngestRecord rec;
-            rec.site = s.raw.site_id;
-            rec.timestamp = s.raw.timestamp;
-            rec.volts = bin.estimate().value();
-            rec.latency_us = s.wall_us;
-            rec.in_range = bin.in_range();
-            store->ingest(rec);
-          }
-          latency_vals.push_back(s.wall_us);
-          if (bin.in_range()) volt_vals.push_back(bin.estimate().value());
-          if (!bin.below_range() || !bin.above_range()) {
-            vdd_rollup.add(s.raw.site_id, bin.estimate().value());
-          }
-          ones_rollup.add(s.raw.site_id,
-                          static_cast<double>(s.raw.word.count_ones()));
-          if (config_.snapshot_every > 0 &&
-              !config_.snapshot_csv_path.empty() &&
-              drained % config_.snapshot_every == 0) {
-            if (telemetry_.export_csv(config_.snapshot_csv_path)) {
-              snapshots.increment();
-            }
-          }
-        }
-        latency.observe_span(latency_vals.data(), latency_vals.size());
-        volts.observe_span(volt_vals.data(), volt_vals.size());
+        drained_counter.increment(got);
+        if (store == nullptr) continue;
+        serve_ingested->increment(got);
+        for (std::size_t i = 0; i < got; ++i) store->ingest(chunk[i]);
       }
       depth.set(static_cast<double>(shard->ring.size()));
     }
@@ -732,29 +764,20 @@ void ScanGrid::aggregate(RunResult& result) {
     store->publish_all();
     telemetry_.counter("grid.serve.publishes").increment(store->publishes());
   }
-
-  // Publish the drain-pass ENC statistics once the scan is complete.
-  const core::StreamingEncodeStats& st = enc.stats();
-  if (st.words > 0) {
-    telemetry_.counter("grid.enc.words").increment(st.words);
-    telemetry_.counter("grid.enc.underflows").increment(st.underflows);
-    telemetry_.counter("grid.enc.overflows").increment(st.overflows);
-    telemetry_.counter("grid.enc.bubbled_words").increment(st.bubbled_words);
-    telemetry_.counter("grid.enc.bubble_errors").increment(st.bubble_errors);
-  }
 }
 
 RunResult ScanGrid::run() {
   PSNT_CHECK(!ran_, "ScanGrid::run is single-shot; build a fresh grid");
   ran_ = true;
 
-  RunResult result;
-  result.sites.resize(sites_.size());
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    auto& sr = result.sites[i];
-    sr.site_id = sites_[i]->id;
-    sr.samples.resize(config_.samples_per_site);
-    sr.valid.assign(config_.samples_per_site, false);
+  // Row storage is allocated here, on the caller thread, so every run's rows
+  // come from its malloc arena and are reused by the next run; allocated on
+  // the short-lived worker threads they would spread over per-thread arenas
+  // and raise peak RSS across runs. Reserving touches no page: the 32 MiB
+  // matrix of a 256 × 2048 grid is first written by the workers.
+  for (const auto& site : sites_) {
+    site->row.samples.reserve(config_.samples_per_site);
+    site->row.valid.assign(config_.samples_per_site, false);
   }
 
   const double t0 = now_seconds();
@@ -764,15 +787,17 @@ RunResult ScanGrid::run() {
       Shard* s = shard.get();
       pool.submit([this, s] { worker_run_shard(*s); });
     }
-    aggregate(result);
+    aggregate();
     pool.shutdown();
     pool.rethrow_first_exception();
   }
+  RunResult result;
   result.wall_seconds = now_seconds() - t0;
 
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    auto& sr = result.sites[i];
-    Site& site = *sites_[i];
+  result.sites.reserve(sites_.size());
+  for (const auto& site_ptr : sites_) {
+    Site& site = *site_ptr;
+    SiteResult& sr = result.sites.emplace_back(std::move(site.row));
     if (site.engine) {
       sr.final_code = site.engine->context().current_code();
       sr.code_steps = site.engine->context().code_steps();
@@ -793,13 +818,31 @@ RunResult ScanGrid::run() {
     result.vote_overrides += sr.vote_overrides;
     result.quarantined_sites += sr.quarantined ? 1 : 0;
   }
-  result.produced = telemetry_.counter("grid.samples_produced").value();
-  result.dropped = telemetry_.counter("grid.samples_dropped").value();
-  result.ring_stalls = telemetry_.counter("grid.ring_stalls").value();
+  result.produced = hot_.produced->value();
+  result.dropped = hot_.drops->value();
+  result.ring_stalls = hot_.stalls->value();
   result.samples_per_second =
       result.wall_seconds > 0.0
           ? static_cast<double>(result.produced) / result.wall_seconds
           : 0.0;
+
+  // grid.enc.*: the per-shard ENC tallies, summed exactly.
+  core::StreamingEncodeStats enc;
+  for (const auto& shard : shards_) {
+    const core::StreamingEncodeStats& st = shard->enc.stats();
+    enc.words += st.words;
+    enc.underflows += st.underflows;
+    enc.overflows += st.overflows;
+    enc.bubbled_words += st.bubbled_words;
+    enc.bubble_errors += st.bubble_errors;
+  }
+  if (enc.words > 0) {
+    telemetry_.counter("grid.enc.words").increment(enc.words);
+    telemetry_.counter("grid.enc.underflows").increment(enc.underflows);
+    telemetry_.counter("grid.enc.overflows").increment(enc.overflows);
+    telemetry_.counter("grid.enc.bubbled_words").increment(enc.bubbled_words);
+    telemetry_.counter("grid.enc.bubble_errors").increment(enc.bubble_errors);
+  }
 
   if (!config_.snapshot_csv_path.empty()) {
     if (telemetry_.export_csv(config_.snapshot_csv_path)) {

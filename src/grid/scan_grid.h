@@ -1,13 +1,14 @@
 // Parallel PSN scan-grid runtime.
 //
 // The paper's scan-chain usage model at datacenter scale: many independent
-// per-site sensor simulations run on a fixed-size thread pool, each site's
-// captures stream through a bounded SPSC ring into a central aggregator
-// that maintains telemetry (counters, latency/value histograms, per-site
-// OnlineStats rollups) and assembles the ordered result matrix. Every
-// capture loop ships wire-sized core::RawSamples (word, code, timestamp; no
-// bin) and the aggregator's drain pass owns ENC + voltage conversion for all
-// of them — the paper's capture/encode split (Fig. 6) applied to the runtime.
+// per-site sensor simulations run on a fixed-size thread pool. Like the
+// paper's replicated sensor systems (Fig. 6), each of which carries its own
+// ENC next to its FF array, every worker encodes, decodes and files what it
+// captures: it runs ENC and voltage conversion over each site batch,
+// assembles the site's row of the ordered result matrix and feeds the
+// telemetry (latency/value histograms, per-site OnlineStats rollups). Only
+// compact decoded readings (serve::IngestRecord) cross a bounded SPSC ring
+// to the caller thread, which is the store lane.
 //
 // Capture loops (chosen per site batch)
 //   * batched: one measure_raw_batch per site batch, for engines that
@@ -15,20 +16,26 @@
 //   * per-sample: measure_raw per sample, for engines that do not — above
 //     all auto-ranged sites, whose trim must observe every word before the
 //     next PREPARE. Auto-range feedback stays capture-side: the paper's CNTR
-//     trims the delay code on-die, and re-trimming from the drain would make
-//     code selection depend on aggregator timing;
+//     trims the delay code on-die;
 //   * chaos: per-sample retry/vote/quarantine over measure_raw (below).
 //   Engines without a raw capability of their own are served by
 //   IMeasureEngine::measure_raw's default, which drops the bin of a full
-//   measure().
+//   measure(). Every loop then hands the batch's raw words to the same
+//   worker-side steps: DecodeLadder::decode_span against the grid's
+//   immutable ladder, one ring push per batch (per sample under chaos),
+//   then, for the samples the ring accepted, StreamingEncoder::encode_span
+//   (the shard's ENC), assembly into the site's row, and the histogram and
+//   rollup feeds.
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard is
 //     one long-lived job on the grid::ThreadPool, so exactly one thread
-//     produces into each shard's SpscRing (the SPSC contract).
-//   * The caller's thread is the aggregator: it drains every ring until all
-//     shards report done, then joins the pool and rethrows the first worker
-//     exception, if any.
+//     produces into each shard's SpscRing (the SPSC contract) and exactly
+//     one thread writes each site's result row and rollup slot.
+//   * The caller's thread is the store lane: it pops decoded records off
+//     every ring and ingests them into the attached serve::TelemetryStore
+//     (its single writer), until all shards report done; then it joins the
+//     pool and rethrows the first worker exception, if any.
 //
 // Determinism
 //   Results are keyed by (site index, sample index) — never by arrival
@@ -46,8 +53,8 @@
 //   (yield loop; stalls counted in telemetry) — lossless, the mode every
 //   determinism guarantee above assumes for result completeness.
 //   kDropNewest: a full ring drops the sample (drop counted, the result
-//   slot stays invalid) — for telemetry-only monitoring where the consumer
-//   may fall behind.
+//   slot stays invalid: a worker assembles only what its ring accepted) —
+//   for telemetry-only monitoring where the store lane may fall behind.
 //
 // Measurement backends
 //   Every site measures through a core::EngineHandle (measure_engine.h).
@@ -64,8 +71,8 @@
 //   in the ring path, and the ResiliencePolicy decides
 //   recovery — bounded-backoff retry, majority vote, and site quarantine.
 //   Recovery decides on fault flags, words and failure streaks only, so the
-//   chaos loop ships raw words through the same drain decode as the plain
-//   loops.
+//   chaos loop runs its raw words through the same worker-side decode as
+//   the plain loops.
 //   Degradation telemetry (grid.fault.*, grid.retries, grid.samples_lost,
 //   grid.sites_quarantined, ...) flows through the TelemetryRegistry and the
 //   per-site trace lands in SiteResult::fault_events. With no injector and
@@ -125,7 +132,7 @@ using RailFactory = std::function<std::unique_ptr<analog::RailSource>(
 // and the grid-resolved site options; must return non-null. Transport
 // failures thrown by a remote engine (net::TransportError) are mapped by
 // the chaos path onto the hung-fault lane — retry/backoff, then quarantine.
-// The drain decodes every word against the calibrated paper ladder, so a
+// Workers decode every word against the calibrated paper ladder, so a
 // factory engine must sense with the paper array and pulse generator.
 using EngineFactory = std::function<core::EngineHandle(
     std::uint32_t site_id, const analog::RailPair&,
@@ -160,19 +167,19 @@ struct ScanGridConfig {
   // holds. 96 keeps a whole batch's SoA scratch inside L1 while amortizing
   // the per-batch dispatch (see DESIGN.md §14).
   std::size_t batch = 96;
-  // When non-empty, the aggregator exports the telemetry snapshot to this
-  // CSV path every `snapshot_every` drained samples (and once at the end).
+  // When non-empty, run() exports the telemetry snapshot to this CSV path
+  // once the scan is complete.
   std::string snapshot_csv_path;
-  std::size_t snapshot_every = 0;  // 0 = final snapshot only
-  // Always-on serving layer (null = off). When set, the aggregator's drain
-  // publishes every sample into the store — latest/windowed per-site
-  // rollups, global voltage/latency sketches, top-K droop — keyed by the
-  // grid site *index* (matrix row), and mirrors the resilience telemetry
-  // into the store's degradation status each drain sweep. The store's
-  // site_count must cover the floorplan; the drain is its single writer
-  // (the store must be configured with shards = 1 for grid use). Queries
-  // (serve::QueryEngine) run concurrently against published snapshots and
-  // never stall the drain. grid.serve.* telemetry counts the traffic.
+  // Always-on serving layer (null = off). When set, the caller thread's
+  // store lane ingests every sample the rings deliver — latest/windowed
+  // per-site rollups, global voltage/latency sketches, top-K droop — keyed
+  // by the grid site *index* (matrix row), and mirrors the resilience
+  // telemetry into the store's degradation status each drain sweep. The
+  // store's site_count must cover the floorplan; the store lane is its
+  // single writer (the store must be configured with shards = 1 for grid
+  // use). Queries (serve::QueryEngine) run concurrently against published
+  // snapshots and never stall the drain. grid.serve.* telemetry counts the
+  // traffic.
   std::shared_ptr<serve::TelemetryStore> store;
   // Deterministic fault injector (null = off). When null and `resilience`
   // is the default policy, the measure path is byte-for-byte the plain one
@@ -230,7 +237,8 @@ class ScanGrid {
   ScanGrid(const ScanGrid&) = delete;
   ScanGrid& operator=(const ScanGrid&) = delete;
 
-  // Executes the full scan (blocking; the calling thread aggregates).
+  // Executes the full scan (blocking; the calling thread is the store
+  // lane).
   // Callable once per ScanGrid instance.
   RunResult run();
 
@@ -268,17 +276,23 @@ class ScanGrid {
   struct Shard;
   struct ChaosCounters;
 
-  // Hot-path telemetry instruments, resolved once at construction. Counter
-  // lookup takes the name as std::string; the grid.* names are long enough
-  // to defeat SSO, so per-batch lookups were the drain's residual
-  // allocations (~0.4 per measure before caching).
-  struct HotCounters {
+  // Hot-path telemetry instruments, resolved once at construction. Lookup
+  // takes the name as std::string; the grid.* names are long enough to
+  // defeat SSO, so per-batch lookups were the residual allocations (~0.4 per
+  // measure before caching). Workers feed all of them concurrently: counters
+  // are atomic, histograms lock once per batch, and each rollup slot has one
+  // writer (the site's owning worker).
+  struct HotInstruments {
     Counter* stalls = nullptr;
     Counter* drops = nullptr;
     Counter* produced = nullptr;
     Counter* sim_events = nullptr;
     Counter* sim_allocs = nullptr;
     Counter* structural_ns = nullptr;
+    ValueHistogram* latency = nullptr;  // grid.measure_latency_us
+    ValueHistogram* volts = nullptr;    // grid.vdd_volts
+    SiteRollup* vdd_rollup = nullptr;   // site_vdd_volts
+    SiteRollup* ones_rollup = nullptr;  // site_word_ones
   };
 
   void worker_run_shard(Shard& shard);
@@ -290,11 +304,21 @@ class ScanGrid {
   // Feeds a published word back into the engine's code policy (no-op under
   // a fixed code).
   void observe_code_policy(Site& site, const core::ThermoWord& word);
-  // Plain capture: ships RawSamples (no ENC, no decode) for one site batch,
-  // batched or per sample (see "Capture loops" above), and leaves encode +
-  // voltage conversion to the aggregator drain.
+  // Plain capture of one site batch, batched or per sample (see "Capture
+  // loops" above), then decode, push and finish_batch.
   void capture_site_batch(Site& site, std::size_t first, std::size_t count,
                           Shard& shard);
+  // Voltage conversion of shard.raws into shard.words/codes/bins through
+  // the shared ladder.
+  void decode_batch(Shard& shard) const;
+  // Fills shard.records[i] — the ring payload — from raw i and its bin.
+  static void fill_record(const Site& site, Shard& shard, std::size_t i,
+                          double wall_us);
+  // The first `n` batch entries are the samples the ring accepted: runs
+  // them through the shard's ENC, assembles them into the site's row (which
+  // then ends at `batch_end`) and feeds the histograms and rollups.
+  void finish_batch(Site& site, Shard& shard, std::size_t n,
+                    std::size_t batch_end);
   // Fault/resilience path: per-sample retry, vote, quarantine. Selected for
   // the whole run when an injector is attached or the policy is non-default;
   // the plain path above stays untouched (and bit-identical) otherwise.
@@ -310,19 +334,22 @@ class ScanGrid {
   void record_fault_events(Site& site, const fault::MeasureFaults& faults,
                            std::size_t sample, std::uint32_t attempt,
                            ChaosCounters& counters);
-  void aggregate(RunResult& result);
+  // The store lane: drains every ring into the attached store until all
+  // shards are done.
+  void aggregate();
 
   const scan::Floorplan& floorplan_;
   ScanGridConfig config_;
   TelemetryRegistry telemetry_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Shared aggregator-side voltage conversion for every sample: built once
-  // in the constructor, immutable afterwards, so the drain never touches a
-  // worker's mutable per-engine kernel caches.
+  // Shared voltage conversion for every sample: built once in the
+  // constructor, immutable afterwards, so every worker decodes against it
+  // concurrently without touching any engine's mutable kernel caches.
   core::DecodeLadder ladder_;
-  HotCounters hot_;
+  HotInstruments hot_;
   bool chaos_ = false;  // injector attached or non-default resilience
+  std::unique_ptr<ChaosCounters> chaos_counters_;  // set when chaos_
   bool ran_ = false;
 };
 

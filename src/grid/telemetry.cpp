@@ -18,10 +18,8 @@ void ValueHistogram::observe(double x) {
 void ValueHistogram::observe_span(const double* xs, std::size_t n) {
   if (n == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < n; ++i) {
-    histogram_.add(xs[i]);
-    stats_.add(xs[i]);
-  }
+  histogram_.add_span(xs, n);
+  stats_.add_span(xs, n);
 }
 
 stats::OnlineStats ValueHistogram::stats() const {
@@ -37,6 +35,11 @@ stats::Histogram ValueHistogram::histogram() const {
 double ValueHistogram::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return histogram_.quantile(q);
+}
+
+void SiteRollup::add_span(std::size_t site, const double* xs,
+                          std::size_t n) {
+  sites_.at(site).add_span(xs, n);
 }
 
 stats::OnlineStats SiteRollup::merged() const {

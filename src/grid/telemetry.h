@@ -11,8 +11,8 @@
 //                   observation is a handful of arithmetic ops, contention
 //                   is negligible next to a site simulation.
 //
-// Plus per-site OnlineStats rollups (SiteRollup), owned by the single
-// aggregator thread and therefore unlocked.
+// Plus per-site OnlineStats rollups (SiteRollup), unlocked: each site's
+// slot is written by the site's owning worker only.
 //
 // The registry is the naming/ownership layer: instruments are created on
 // first use, live as long as the registry, and snapshot together into text
@@ -62,8 +62,8 @@ class ValueHistogram {
   ValueHistogram(double lo, double hi, std::size_t bins);
 
   void observe(double x);
-  // Batched observe: one lock for the whole span. The grid drain publishes
-  // per chunk (hundreds of samples), where a lock per value is measurable.
+  // Batched observe: one lock for the whole span. Grid workers publish per
+  // site batch (dozens of samples), where a lock per value is measurable.
   void observe_span(const double* xs, std::size_t n);
 
   // Consistent copies taken under the lock.
@@ -77,13 +77,18 @@ class ValueHistogram {
   stats::OnlineStats stats_;
 };
 
-// Per-site Welford rollups. NOT thread-safe: owned and written by the single
-// aggregator thread, read after the run completes.
+// Per-site Welford rollups. Not locked: each site's slot is written by the
+// site's owning worker (one writer per slot; distinct slots may be written
+// concurrently) and read after the run completes.
 class SiteRollup {
  public:
   explicit SiteRollup(std::size_t site_count) : sites_(site_count) {}
 
   void add(std::size_t site, double x) { sites_.at(site).add(x); }
+  // Adds xs[0..n) to one site (stats::OnlineStats::add_span): the slot is
+  // written once per span, not once per value — neighbouring slots share
+  // cache lines and belong to different workers.
+  void add_span(std::size_t site, const double* xs, std::size_t n);
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] const stats::OnlineStats& site(std::size_t i) const {
     return sites_.at(i);

@@ -42,7 +42,11 @@ void HistogramSketch::add(double v) {
     ++zero_count_;
     return;
   }
-  ++buckets_[bucket_index(v)];
+  if (v != memo_value_) {
+    memo_value_ = v;
+    memo_bucket_ = bucket_index(v);
+  }
+  ++buckets_[memo_bucket_];
 }
 
 void HistogramSketch::merge(const HistogramSketch& other) {

@@ -17,12 +17,19 @@
 // per-shard / per-window sketches and have the query side combine them
 // without widening the error bound.
 //
+// add() keeps a one-entry memo of the last positive value and its bucket:
+// a repeat skips the log. The memo is a pure function of the config, so it
+// stays exact across reset(), merge() and copies. It pays off on the store's
+// ingest path, where volts come from a small ladder of bin estimates and a
+// latency is constant over a grid batch.
+//
 // Thread-compatibility: none. One writer per instance; snapshots are plain
 // copies taken by that writer (the store's snapshot publication, store.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace psnt::serve {
@@ -83,6 +90,10 @@ class HistogramSketch {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
+  // add()'s memo: bucket_index(memo_value_) == memo_bucket_. NaN never
+  // compares equal, so the empty memo never hits.
+  double memo_value_ = std::numeric_limits<double>::quiet_NaN();
+  std::size_t memo_bucket_ = 0;
 };
 
 }  // namespace psnt::serve

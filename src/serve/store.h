@@ -1,9 +1,9 @@
 // Always-on telemetry serving layer: a fixed-memory, queryable in-memory
 // time-series store over the scan-grid's streaming drain (DESIGN.md §13).
 //
-// The pipeline so far ends with the aggregator drain decoding raw
-// thermometer words; before this layer the only consumers were a result
-// matrix and a CSV dump. TelemetryStore closes the serving loop: the drain
+// The grid's workers decode their raw thermometer words themselves; before
+// this layer the only consumers were a result matrix and a CSV dump.
+// TelemetryStore closes the serving loop: the grid's drain (its store lane)
 // ingests every published sample and queries answer *while ingest runs* —
 // latest per-site readings, windowed rollups, global voltage/latency
 // quantiles, the top-K worst-droop sites, and the resilience degradation

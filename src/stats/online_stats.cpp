@@ -16,6 +16,24 @@ void OnlineStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
+void OnlineStats::add_span(const double* xs, std::size_t n) {
+  if (n == 0) return;
+  OnlineStats span;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += xs[i];
+    span.min_ = std::min(span.min_, xs[i]);
+    span.max_ = std::max(span.max_, xs[i]);
+  }
+  span.n_ = n;
+  span.mean_ = sum / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = xs[i] - span.mean_;
+    span.m2_ += d * d;
+  }
+  merge(span);
+}
+
 double OnlineStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -46,20 +64,31 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   PSNT_CHECK(bins > 0, "histogram needs at least one bin");
 }
 
-void Histogram::add(double x) {
-  ++total_;
+void Histogram::add(double x) { add_repeated(x, 1); }
+
+void Histogram::add_span(const double* xs, std::size_t n) {
+  for (std::size_t i = 0; i < n;) {
+    std::size_t run = 1;
+    while (i + run < n && xs[i + run] == xs[i]) ++run;
+    add_repeated(xs[i], run);
+    i += run;
+  }
+}
+
+void Histogram::add_repeated(double x, std::size_t n) {
+  total_ += n;
   if (x < lo_) {
-    ++underflow_;
+    underflow_ += n;
     return;
   }
   if (x >= hi_) {
-    ++overflow_;
+    overflow_ += n;
     return;
   }
   const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
   auto bin = static_cast<std::size_t>((x - lo_) / width);
   if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge
-  ++counts_[bin];
+  counts_[bin] += n;
 }
 
 double Histogram::bin_lo(std::size_t bin) const {

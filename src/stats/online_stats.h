@@ -13,6 +13,11 @@ namespace psnt::stats {
 class OnlineStats {
  public:
   void add(double x);
+  // Adds xs[0..n). Equal to n add() calls up to rounding: the span's own
+  // mean and squared deviations are taken in two plain passes and merged
+  // in, which avoids add()'s loop-carried division (the serial cost of a
+  // long run of add() calls).
+  void add_span(const double* xs, std::size_t n);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
@@ -41,6 +46,9 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
+  // Adds xs[0..n): the same counts as n add() calls, with one bin decision
+  // per run of equal values.
+  void add_span(const double* xs, std::size_t n);
 
   [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
@@ -54,6 +62,8 @@ class Histogram {
   [[nodiscard]] double quantile(double q) const;
 
  private:
+  void add_repeated(double x, std::size_t n);
+
   double lo_;
   double hi_;
   std::vector<std::size_t> counts_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -9,6 +11,8 @@
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
 #include "scan/scan_chain.h"
+#include "serve/store.h"
+#include "stats/rng.h"
 
 namespace psnt::grid {
 namespace {
@@ -210,6 +214,217 @@ TEST(ScanGrid, FinalCsvSnapshotIsExported) {
   content << in.rdbuf();
   EXPECT_NE(content.str().find("grid.samples_produced"), std::string::npos);
   EXPECT_NE(content.str().find("site_vdd_volts"), std::string::npos);
+}
+
+// --- seeded property tests: worker-side ENC, decode and assembly --------
+
+constexpr std::array<const char*, 5> kEncCounters = {
+    "grid.enc.words", "grid.enc.underflows", "grid.enc.overflows",
+    "grid.enc.bubbled_words", "grid.enc.bubble_errors"};
+
+// One random grid: floorplan shape, rails (spanning both saturations of
+// code 3), samples per site and dispatch batch, all drawn from `rng`.
+struct RandomGrid {
+  scan::Floorplan fp;
+  ScanGridConfig config;
+  RailFactory rails;
+};
+
+RandomGrid random_grid(stats::Xoshiro256& rng) {
+  const double w = rng.uniform(500.0, 5000.0);
+  const double h = rng.uniform(500.0, 5000.0);
+  const std::size_t rows = 1 + rng.uniform_index(4);
+  const std::size_t cols = 1 + rng.uniform_index(5);
+  RandomGrid g{scan::Floorplan::grid(w, h, rows, cols), base_config(1), {}};
+  g.config.seed = rng.next();
+  g.config.samples_per_site = 1 + rng.uniform_index(40);
+  const std::array<std::size_t, 7> batches = {1, 2, 3, 5, 7, 16, 96};
+  g.config.batch = batches[rng.uniform_index(batches.size())];
+  if (rng.uniform_index(3) == 0) {
+    g.rails = ScanGrid::constant_rails(Volt{rng.uniform(0.75, 1.15)});
+  } else {
+    g.rails = ScanGrid::ir_gradient_rails(
+        g.fp, Volt{rng.uniform(0.9, 1.15)}, rng.uniform(0.0, 0.15) / 5000.0,
+        {rng.uniform(0.0, w), rng.uniform(0.0, h)}, rng.uniform(0.0, 0.03));
+  }
+  return g;
+}
+
+struct StoreRun {
+  RunResult result;
+  std::array<std::uint64_t, kEncCounters.size()> enc{};
+  std::shared_ptr<serve::TelemetryStore> store;
+};
+
+StoreRun run_with_store(const RandomGrid& g, ScanGridConfig config) {
+  serve::StoreConfig store_config;
+  store_config.site_count = g.fp.site_count();
+  store_config.shards = 1;
+  store_config.publish_every = 64;  // several publishes mid-run
+  StoreRun run;
+  run.store = std::make_shared<serve::TelemetryStore>(store_config);
+  config.store = run.store;
+  ScanGrid grid{g.fp, config, g.rails};
+  run.result = grid.run();
+  for (std::size_t i = 0; i < kEncCounters.size(); ++i) {
+    run.enc[i] = grid.telemetry().counter(kEncCounters[i]).value();
+  }
+  return run;
+}
+
+// Serial scan-chain words[sample][site] for the grid's schedule.
+std::vector<std::vector<core::ThermoWord>> oracle_words(const RandomGrid& g) {
+  const auto& model = calib::calibrated().model;
+  scan::PsnScanChain chain{g.fp, g.config.thermometer};
+  std::vector<std::unique_ptr<analog::RailSource>> rails;
+  for (const auto& site : g.fp.sites()) {
+    auto rng = ScanGrid::site_rng(g.config.seed, site.id);
+    rails.push_back(g.rails(site, rng));
+    chain.attach_site(
+        site.id, analog::RailPair{rails.back().get(), nullptr},
+        calib::make_paper_thermometer(model, g.config.thermometer));
+  }
+  std::vector<std::vector<core::ThermoWord>> words;
+  for (std::size_t k = 0; k < g.config.samples_per_site; ++k) {
+    const auto snapshot = chain.broadcast_measure(
+        Picoseconds{g.config.start.value() +
+                    static_cast<double>(k) * g.config.interval.value()},
+        g.config.code);
+    auto& row = words.emplace_back();
+    for (const auto& sm : snapshot) row.push_back(sm.measurement.word);
+  }
+  return words;
+}
+
+void expect_same_bin(const core::VoltageBin& a, const core::VoltageBin& b,
+                     const std::string& where) {
+  ASSERT_EQ(a.lo.has_value(), b.lo.has_value()) << where;
+  ASSERT_EQ(a.hi.has_value(), b.hi.has_value()) << where;
+  if (a.lo) {
+    EXPECT_EQ(a.lo->value(), b.lo->value()) << where;
+  }
+  if (a.hi) {
+    EXPECT_EQ(a.hi->value(), b.hi->value()) << where;
+  }
+}
+
+// Moving ENC, decode and assembly onto the workers must not let the worker
+// count show anywhere: the result matrix, the summed grid.enc.* tallies and
+// everything the store lane ingested are identical at 1, 2 and 4 workers,
+// and every word matches the serial scan-chain oracle.
+TEST(ScanGridProperty, WorkerCountNeverChangesMatrixEncOrStore) {
+  stats::Xoshiro256 rng(0x5eed16);
+  for (int trial = 0; trial < 10; ++trial) {
+    const RandomGrid g = random_grid(rng);
+    const std::string trial_tag = "trial " + std::to_string(trial);
+    const auto oracle = oracle_words(g);
+    std::optional<StoreRun> ref;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}}) {
+      ScanGridConfig config = g.config;
+      config.threads = workers;
+      StoreRun run = run_with_store(g, config);
+      const std::string tag =
+          trial_tag + " workers=" + std::to_string(workers);
+      const std::uint64_t total =
+          g.fp.site_count() * g.config.samples_per_site;
+      ASSERT_EQ(run.result.produced, total) << tag;
+      EXPECT_EQ(run.store->total_ingested(), total) << tag;
+      EXPECT_EQ(run.enc[0], total) << tag;
+
+      for (std::size_t i = 0; i < run.result.sites.size(); ++i) {
+        const SiteResult& site = run.result.sites[i];
+        ASSERT_EQ(site.samples.size(), g.config.samples_per_site) << tag;
+        for (std::size_t k = 0; k < site.samples.size(); ++k) {
+          ASSERT_TRUE(site.valid[k]) << tag;
+          EXPECT_EQ(site.samples[k].word, oracle[k][i])
+              << tag << " site " << i << " sample " << k;
+        }
+      }
+      if (!ref) {
+        ref = std::move(run);
+        continue;
+      }
+
+      EXPECT_EQ(run.enc, ref->enc) << tag;
+      for (std::size_t i = 0; i < run.result.sites.size(); ++i) {
+        const SiteResult& a = run.result.sites[i];
+        const SiteResult& b = ref->result.sites[i];
+        for (std::size_t k = 0; k < a.samples.size(); ++k) {
+          const std::string where =
+              tag + " site " + std::to_string(i) + " sample " +
+              std::to_string(k);
+          EXPECT_EQ(a.samples[k].word, b.samples[k].word) << where;
+          EXPECT_EQ(a.samples[k].code, b.samples[k].code) << where;
+          EXPECT_EQ(a.samples[k].timestamp, b.samples[k].timestamp) << where;
+          expect_same_bin(a.samples[k].bin, b.samples[k].bin, where);
+        }
+      }
+
+      const serve::StoreView va = run.store->snapshot();
+      const serve::StoreView vb = ref->store->snapshot();
+      ASSERT_EQ(va.shards.size(), 1u);
+      ASSERT_TRUE(va.shards[0] && vb.shards[0]) << tag;
+      const serve::ShardSnapshot& sa = *va.shards[0];
+      const serve::ShardSnapshot& sb = *vb.shards[0];
+      ASSERT_EQ(sa.sites.size(), sb.sites.size());
+      for (std::size_t i = 0; i < sa.sites.size(); ++i) {
+        const serve::SiteSnapshot& a = *sa.sites[i];
+        const serve::SiteSnapshot& b = *sb.sites[i];
+        const std::string where = tag + " store site " + std::to_string(i);
+        EXPECT_EQ(a.ingested, b.ingested) << where;
+        EXPECT_EQ(a.out_of_range, b.out_of_range) << where;
+        EXPECT_EQ(a.latest.seq, b.latest.seq) << where;
+        EXPECT_EQ(a.latest.timestamp, b.latest.timestamp) << where;
+        EXPECT_EQ(a.latest.volts, b.latest.volts) << where;
+        EXPECT_EQ(a.latest.in_range, b.latest.in_range) << where;
+      }
+      EXPECT_EQ(sa.voltage.count(), sb.voltage.count()) << tag;
+      EXPECT_EQ(sa.voltage.zero_count(), sb.voltage.zero_count()) << tag;
+      for (std::size_t b = 0; b < sa.voltage.config().bucket_count; ++b) {
+        EXPECT_EQ(sa.voltage.bucket_count_at(b), sb.voltage.bucket_count_at(b))
+            << tag << " voltage bucket " << b;
+      }
+      // Latency values are measured wall times, which differ from run to
+      // run; what must agree is that every sample landed in the sketch.
+      EXPECT_EQ(sa.latency.count(), sb.latency.count()) << tag;
+    }
+  }
+}
+
+// Under kDropNewest a sample the ring drops must stay out of everything
+// downstream of the ring: the result matrix, the ENC tallies and the store.
+TEST(ScanGridProperty, DropNewestKeepsMatrixEncAndStoreInStep) {
+  stats::Xoshiro256 rng(0xd50b);
+  for (int trial = 0; trial < 4; ++trial) {
+    const RandomGrid g = random_grid(rng);
+    const auto oracle = oracle_words(g);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+      ScanGridConfig config = g.config;
+      config.threads = workers;
+      config.backpressure = BackpressurePolicy::kDropNewest;
+      config.ring_capacity = 2;  // tiny ring: drops possible, not certain
+      const StoreRun run = run_with_store(g, config);
+      const std::string tag = "trial " + std::to_string(trial) +
+                              " workers=" + std::to_string(workers);
+      std::uint64_t valid = 0;
+      for (std::size_t i = 0; i < run.result.sites.size(); ++i) {
+        const SiteResult& site = run.result.sites[i];
+        for (std::size_t k = 0; k < site.samples.size(); ++k) {
+          if (!site.valid[k]) continue;
+          ++valid;
+          EXPECT_EQ(site.samples[k].word, oracle[k][i])
+              << tag << " site " << i << " sample " << k;
+        }
+      }
+      EXPECT_EQ(run.result.produced,
+                g.fp.site_count() * g.config.samples_per_site)
+          << tag;
+      EXPECT_EQ(valid + run.result.dropped, run.result.produced) << tag;
+      EXPECT_EQ(run.store->total_ingested(), valid) << tag;
+      EXPECT_EQ(run.enc[0], valid) << tag;
+    }
+  }
 }
 
 TEST(ScanGrid, StructuralFidelityAgreesWithBehavioralOnQuietRails) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "serve/histogram_sketch.h"
@@ -139,6 +140,122 @@ TEST(HistogramSketch, MeanMatchesExactSum) {
     sketch.add(v);
   }
   EXPECT_NEAR(sketch.mean(), sum / 1000.0, 1e-12);  // sum is exact, not bucketed
+}
+
+// Per-bucket reference counts built by calling bucket_index(v) for every
+// value, with no memo in the way.
+struct BucketReference {
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t zero = 0;
+
+  void add(const HistogramSketch& sketch, double v) {
+    if (buckets.empty()) buckets.assign(sketch.config().bucket_count, 0);
+    if (v <= 0.0) {
+      ++zero;
+    } else {
+      ++buckets[sketch.bucket_index(v)];
+    }
+  }
+  void merge(const BucketReference& other) {
+    if (buckets.empty()) buckets.assign(other.buckets.size(), 0);
+    for (std::size_t i = 0; i < other.buckets.size(); ++i) {
+      buckets[i] += other.buckets[i];
+    }
+    zero += other.zero;
+  }
+};
+
+void expect_matches(const HistogramSketch& sketch, const BucketReference& ref,
+                    const char* where) {
+  ASSERT_EQ(ref.buckets.size(), sketch.config().bucket_count) << where;
+  EXPECT_EQ(sketch.zero_count(), ref.zero) << where;
+  for (std::size_t i = 0; i < ref.buckets.size(); ++i) {
+    EXPECT_EQ(sketch.bucket_count_at(i), ref.buckets[i])
+        << where << ": bucket " << i;
+  }
+}
+
+// A stream shaped to probe add()'s last-bucket memo: runs of repeated
+// values drawn from a small ladder (the store's volts and per-batch
+// latencies), values on bucket edges and one ulp either side of them,
+// non-positive values (including -0.0) between repeats, and fresh values.
+void add_probe_stream(stats::Xoshiro256& rng, HistogramSketch& sketch,
+                      BucketReference& ref, std::size_t n) {
+  const SketchConfig& c = sketch.config();
+  const double gamma = (1.0 + c.alpha) / (1.0 - c.alpha);
+  const std::vector<double> ladder = {0.83, 0.9, 0.93, 0.96, 0.99, 1.02, 1.05};
+  std::size_t added = 0;
+  while (added < n) {
+    double v = 0.0;
+    switch (rng.uniform_index(5)) {
+      case 0:
+        v = ladder[rng.uniform_index(ladder.size())];
+        break;
+      case 1: {
+        const double edge =
+            c.min_value *
+            std::pow(gamma, static_cast<double>(rng.uniform_index(
+                                c.bucket_count)));
+        const std::uint64_t side = rng.uniform_index(3);
+        v = side == 0   ? std::nextafter(edge, 0.0)
+            : side == 1 ? edge
+                        : std::nextafter(edge, 2.0 * edge);
+        break;
+      }
+      case 2: {
+        const double zeros[] = {0.0, -0.0, -1.5};
+        v = zeros[rng.uniform_index(3)];
+        break;
+      }
+      default:
+        v = rng.uniform(0.5 * c.min_value, 2.0);
+        break;
+    }
+    const std::size_t run = 1 + rng.uniform_index(8);
+    for (std::size_t r = 0; r < run && added < n; ++r, ++added) {
+      sketch.add(v);
+      ref.add(sketch, v);
+    }
+  }
+}
+
+// The last-bucket memo in add() is exact: bucket counts equal a reference
+// that calls bucket_index per value, through copies, merges and resets.
+TEST(HistogramSketch, AddMemoMatchesPerValueBucketIndex) {
+  const SketchConfig config{0.01, 0.05, 96};
+  stats::Xoshiro256 rng(2026);
+
+  HistogramSketch a{config};
+  BucketReference ref_a;
+  add_probe_stream(rng, a, ref_a, 4000);
+  expect_matches(a, ref_a, "fresh");
+
+  // A copy carries the memo; both sketches keep counting correctly.
+  HistogramSketch b = a;
+  BucketReference ref_b = ref_a;
+  add_probe_stream(rng, b, ref_b, 2000);
+  expect_matches(b, ref_b, "copy");
+  add_probe_stream(rng, a, ref_a, 2000);
+  expect_matches(a, ref_a, "original after copy");
+
+  // Merge, then keep adding into the merged sketch.
+  HistogramSketch m{config};
+  BucketReference ref_m;
+  add_probe_stream(rng, m, ref_m, 1500);
+  m.merge(b);
+  ref_m.merge(ref_b);
+  add_probe_stream(rng, m, ref_m, 1500);
+  expect_matches(m, ref_m, "merge");
+
+  // Reset, then repeat the value the memo last held.
+  const double last = m.max();
+  m.reset();
+  BucketReference ref_r;
+  m.add(last);
+  ref_r.add(m, last);
+  add_probe_stream(rng, m, ref_r, 2000);
+  expect_matches(m, ref_r, "reset");
+  EXPECT_EQ(m.count(), 2001u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// StreamingEncoder / DecodeLadder: the drain-pass half of the streaming
+// StreamingEncoder / DecodeLadder: the encode/decode half of the streaming
 // raw-word pipeline. The load-bearing property is bit-identity: every
 // encoded field must match core::Encoder::encode, and every ladder decode
 // must match the engine/kernel decode the legacy per-site path used.
@@ -175,7 +175,7 @@ TEST(DecodeLadder, GndDecodeMirrorsKernel) {
 }
 
 // The ladder also matches the behavioral engine's own VDD decode — the exact
-// comparison the grid's drain pass relies on.
+// comparison the grid's worker-side decode relies on.
 TEST(DecodeLadder, MatchesBehavioralEngineDecode) {
   const auto& model = calib::calibrated().model;
   BehavioralEngine engine = calib::make_paper_engine(model);

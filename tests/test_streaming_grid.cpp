@@ -1,6 +1,6 @@
-// Conformance tests for the grid's one capture path: every site ships raw
-// words and the aggregator's drain pass encodes and decodes all of them
-// against one shared ladder. Published words, codes, timestamps and bins
+// Conformance tests for the grid's one capture path: every site captures raw
+// words and its worker encodes and decodes all of them against one shared
+// ladder. Published words, codes, timestamps and bins
 // must match serial oracles at every thread count, for every backend and
 // code policy:
 //   * fixed code — scan::PsnScanChain::broadcast_measure, which decodes each
@@ -264,7 +264,7 @@ TEST(StreamingGrid, StructuralSitesStreamRawWords) {
 
   ScanGrid grid{fp, config, factory};
   expect_matches(grid.run(), reference, "structural");
-  // The netlist batch really took the raw path: drain-pass ENC saw every
+  // The netlist batch really took the raw path: the worker's ENC saw every
   // word, and the sim telemetry still flowed.
   EXPECT_EQ(grid.telemetry().counter("grid.enc.words").value(), 2u * 2u);
   EXPECT_GT(grid.telemetry().counter("grid.sim_events").value(), 0u);
@@ -275,7 +275,8 @@ TEST(StreamingGrid, DrainPassEncTelemetry) {
   ScanGrid grid{fp, base_config(4), test_rails(fp)};
   const auto result = grid.run();
   auto& t = grid.telemetry();
-  // Every drained sample went through the drain-pass encoder exactly once.
+  // Every delivered sample went through a worker's encoder exactly once
+  // (the test keeps its historical name from when the drain encoded).
   EXPECT_EQ(t.counter("grid.enc.words").value(), result.produced);
   EXPECT_LE(t.counter("grid.enc.underflows").value(),
             t.counter("grid.enc.words").value());

@@ -54,6 +54,27 @@ TEST(Telemetry, HistogramTracksStatsAndQuantiles) {
   EXPECT_EQ(h.histogram().overflow(), 0u);
 }
 
+// add_span feeds a site the same values as per-value add() calls: equal
+// count and extremes, moments equal up to rounding.
+TEST(Telemetry, SiteRollupAddSpanEqualsSequentialAdds) {
+  TelemetryRegistry reg;
+  auto& one_by_one = reg.site_rollup("a", 2);
+  auto& spans = reg.site_rollup("b", 2);
+  const std::vector<double> xs = {0.93, 1.01, 0.87, 0.87, 1.12, 0.99, 0.9};
+  for (const double x : xs) one_by_one.add(1, x);
+  spans.add_span(1, xs.data(), 3);
+  spans.add_span(1, xs.data() + 3, xs.size() - 3);
+  spans.add_span(0, xs.data(), 0);
+  EXPECT_EQ(spans.site(0).count(), 0u);
+  const auto& a = one_by_one.site(1);
+  const auto& b = spans.site(1);
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_NEAR(a.mean(), b.mean(), 1e-12);
+  EXPECT_NEAR(a.variance(), b.variance(), 1e-12);
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
 TEST(Telemetry, SiteRollupMergesAcrossSites) {
   TelemetryRegistry reg;
   auto& r = reg.site_rollup("vdd", 3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 namespace psnt::core {
 namespace {
 
@@ -60,6 +62,22 @@ TEST(ThermoWord, BubbleDetection) {
   EXPECT_EQ(bubbled.count_ones(), 5u);
   EXPECT_EQ(bubbled.bubble_error_count(), 2u);  // differs at bits 4 and 5
   EXPECT_EQ(bubbled.bubble_corrected().to_string(), "0011111");
+}
+
+// count_ones() takes a bit-scan shortcut for bubble-free words; every word
+// must still count exactly what a popcount counts.
+TEST(ThermoWord, CountOnesEqualsPopcountForEveryWord) {
+  for (std::uint32_t bits = 0; bits < (1u << 16); ++bits) {
+    ASSERT_EQ(ThermoWord(bits, 16).count_ones(),
+              static_cast<std::size_t>(std::popcount(bits)))
+        << "bits " << bits;
+  }
+  for (const std::uint32_t bits :
+       {0xffffffffu, 0x7fffffffu, 0x80000000u, 0xfffffffeu, 0x0000ffffu}) {
+    EXPECT_EQ(ThermoWord(bits, 32).count_ones(),
+              static_cast<std::size_t>(std::popcount(bits)))
+        << "bits " << bits;
+  }
 }
 
 TEST(ThermoWord, ValidWordsHaveNoBubbleErrors) {
