@@ -16,6 +16,15 @@
 //                           store is fixed-memory, so this must stay ~0
 //                           regardless of how long the soak runs
 //
+// A second, ungated section times the grid's store lane alone: one writer
+// ingesting a 256-site × 2048-sample grid's decoded readings in the order
+// grid workers produce them (batch by batch, site by site) into a fresh
+// 1-shard store with the default StoreConfig, 256 records per ingest_span
+// call as the grid's drain pops them:
+//
+//   store_lane.ns_per_record     — median over repeats, publishes included
+//   store_lane.allocs_per_record — every operator-new in the timed loop
+//
 // The soak window defaults to a CI-friendly ~2 s; PSNT_SOAK_SECONDS
 // stretches it to hours without changing memory (that is the point).
 // A timeline CSV (serve_soak_timeline.csv, gitignored) records per-tick
@@ -30,7 +39,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_probe.h"
 #include "bench/bench_util.h"
+#include "cut/scenarios.h"
+#include "grid/scan_grid.h"
+#include "scan/floorplan.h"
 #include "serve/query.h"
 #include "serve/store.h"
 #include "stats/rng.h"
@@ -119,7 +132,7 @@ void query_loop(const serve::TelemetryStore& store,
   }
 }
 
-void report() {
+void soak(bench::JsonReport& json) {
   bench::section("serve soak — multi-threaded ingest + concurrent queries");
   const double seconds = soak_seconds();
   const double warmup = std::min(0.25 * seconds, 0.5);
@@ -234,7 +247,6 @@ void report() {
   bench::note("timeline (per-tick throughput + RSS): serve_soak_timeline.csv");
   bench::note("PSNT_SOAK_SECONDS stretches the window; RSS must stay flat");
 
-  bench::JsonReport json{"BENCH_serve.json"};
   json.set("serve_soak", "samples_per_sec", samples_per_sec);
   json.set("serve_soak", "ingest_ns_per_sample", ingest_ns);
   json.set("serve_soak", "query_p50_us", query_p50_us);
@@ -244,6 +256,123 @@ void report() {
   json.set("serve_soak", "rss_growth_mb", rss_growth_mb);
   json.set("serve_soak", "consistency_checks", ok ? 1.0 : 0.0);
   json.set_rss("serve_soak");
+  json.set_raw("serve_soak", "provenance", bench::provenance_json());
+}
+
+// The grid_monitor deployment's store lane, as perfbench grid_behavioral
+// drives it: a 16 × 16 behavioral grid under the pipeline-workload droop
+// waveform (corner sites droop 1.8× harder), 2048 samples over a 12 µs
+// horizon (about 9 samples per 50 ns window), code 3. The grid runs once,
+// without a store, and its decoded readings are replayed in the order its
+// workers ship them: capture batch by capture batch, site by site, each
+// batch's records sharing one latency as a batch's wall time does.
+constexpr std::size_t kLaneRows = 16;
+constexpr std::size_t kLaneCols = 16;
+constexpr std::size_t kLaneSamples = 2048;
+constexpr double kLaneHorizonPs = 12e6;
+constexpr std::size_t kLaneChunk = 256;  // the grid drain's pop size
+constexpr int kLaneRepeats = 7;
+
+std::vector<serve::IngestRecord> lane_stream() {
+  const auto fp =
+      scan::Floorplan::grid(4000.0, 4000.0, kLaneRows, kLaneCols);
+  cut::ScenarioConfig scenario_config;
+  scenario_config.horizon = Picoseconds{kLaneHorizonPs};
+  scenario_config.seed = kSeed;
+  const cut::Scenario scenario = cut::make_scenario(
+      cut::ScenarioKind::kPipelineWorkload, scenario_config);
+  auto waveform =
+      std::make_shared<const analog::SampledRail>(scenario.vdd.to_rail());
+  grid::ScanGridConfig config;
+  config.threads = 2;
+  config.samples_per_site = kLaneSamples;
+  config.start = Picoseconds{0.0};
+  config.interval =
+      Picoseconds{kLaneHorizonPs / static_cast<double>(kLaneSamples)};
+  config.code = core::DelayCode{3};
+  config.seed = kSeed;
+  grid::ScanGrid grid{fp, config,
+                      grid::ScanGrid::scaled_waveform_rails(
+                          fp, std::move(waveform), Volt{1.0}, 1.8)};
+  const grid::RunResult result = grid.run();
+
+  stats::Xoshiro256 rng(kSeed);
+  std::vector<serve::IngestRecord> out;
+  out.reserve(fp.site_count() * kLaneSamples);
+  for (std::size_t base = 0; base < kLaneSamples; base += config.batch) {
+    const std::size_t end = std::min(kLaneSamples, base + config.batch);
+    for (std::size_t i = 0; i < result.sites.size(); ++i) {
+      const grid::SiteResult& site = result.sites[i];
+      const double latency_us = rng.uniform(1.0, 4.0);
+      for (std::size_t k = base; k < end; ++k) {
+        if (!site.valid[k]) continue;
+        const core::Measurement& m = site.samples[k];
+        serve::IngestRecord rec;
+        rec.site = static_cast<std::uint32_t>(i);
+        rec.timestamp = m.timestamp;
+        rec.volts = m.bin.estimate().value();
+        rec.latency_us = latency_us;
+        rec.in_range = m.bin.in_range();
+        out.push_back(rec);
+      }
+    }
+  }
+  return out;
+}
+
+void store_lane(bench::JsonReport& json) {
+  bench::section("store lane — one writer, 256 × 2048 grid-ordered stream");
+  const std::vector<serve::IngestRecord> stream = lane_stream();
+  serve::StoreConfig config;
+  config.site_count = kLaneRows * kLaneCols;
+  config.shards = 1;
+  config.v_nominal = 1.0;
+
+  std::vector<double> ns(kLaneRepeats);
+  std::uint64_t allocs = 0;
+  std::uint64_t publishes = 0;
+  for (int r = 0; r < kLaneRepeats; ++r) {
+    serve::TelemetryStore store{config};
+    const std::uint64_t a0 = bench::alloc_count();
+    const double t0 = now_seconds();
+    for (std::size_t off = 0; off < stream.size(); off += kLaneChunk) {
+      store.ingest_span(stream.data() + off,
+                        std::min(kLaneChunk, stream.size() - off));
+    }
+    const double t1 = now_seconds();
+    allocs = bench::alloc_count() - a0;
+    publishes = store.publishes();
+    ns[static_cast<std::size_t>(r)] =
+        (t1 - t0) * 1e9 / static_cast<double>(stream.size());
+  }
+  std::sort(ns.begin(), ns.end());
+  const double median = ns[ns.size() / 2];
+  const double allocs_per_record =
+      static_cast<double>(allocs) / static_cast<double>(stream.size());
+
+  util::CsvTable table({"metric", "value"});
+  table.new_row().add("records").add(static_cast<long long>(stream.size()));
+  table.new_row().add("repeats").add(static_cast<long long>(kLaneRepeats));
+  table.new_row().add("ns_per_record_median").add(median, 4);
+  table.new_row().add("ns_per_record_min").add(ns.front(), 4);
+  table.new_row().add("ns_per_record_max").add(ns.back(), 4);
+  table.new_row().add("allocs_per_record").add(allocs_per_record, 4);
+  table.new_row().add("publishes").add(static_cast<long long>(publishes));
+  bench::print_table(table);
+
+  json.set("store_lane", "ns_per_record", median);
+  json.set("store_lane", "ns_per_record_min", ns.front());
+  json.set("store_lane", "allocs_per_record", allocs_per_record);
+  json.set("store_lane", "records", static_cast<double>(stream.size()));
+  json.set_raw("store_lane", "provenance", bench::provenance_json());
+}
+
+void report() {
+  bench::JsonReport json{"BENCH_serve.json"};
+  // The soak first: its rss_peak_mb is the process high-water mark, which
+  // the store lane's 20 MiB record stream would otherwise raise.
+  soak(json);
+  store_lane(json);
   json.write();
 }
 

@@ -38,6 +38,13 @@ absolute delta instead of ratio (a 0.015 → 0.04 move is noise, not a 2.5x
 regression). ``--min-abs`` applies the same rule to rss_growth_mb, whose
 baseline is ~0 by design. ``--self-test`` runs the gate's own unit checks
 (no files needed) and exits 0/1 — CI invokes it before trusting the gate.
+
+Sections may carry a ``provenance`` block (bench::provenance_json(): CPU,
+nproc, compiler, build type, LTO, SIMD, git SHA). When a section's baseline
+and fresh blocks name different hosts or builds, the gate prints a loud
+host-mismatch notice: a ratio between two machines is not a regression
+signal. The notice never changes a verdict. The git SHA is not compared; it
+differs between any baseline and a later run by design.
 """
 
 from __future__ import annotations
@@ -83,6 +90,48 @@ def load(path: Path) -> dict:
     if not isinstance(doc, dict):
         sys.exit(f"error: {path} must be a JSON object of bench sections")
     return doc
+
+
+# Provenance fields that identify the host and build; git_sha is left out.
+HOST_FIELDS = ("cpu", "nproc", "compiler", "build_type", "lto", "simd")
+
+
+def host_mismatches(baseline: dict, fresh: dict) -> list[str]:
+    """One line per section whose baseline and fresh provenance differ."""
+    notices = []
+    for section, base_metrics in sorted(baseline.items()):
+        fresh_metrics = fresh.get(section)
+        if not isinstance(base_metrics, dict) or not isinstance(
+                fresh_metrics, dict):
+            continue
+        base_prov = base_metrics.get("provenance")
+        fresh_prov = fresh_metrics.get("provenance")
+        if not isinstance(base_prov, dict) and not isinstance(fresh_prov,
+                                                              dict):
+            continue
+        if not isinstance(base_prov, dict) or not isinstance(fresh_prov,
+                                                             dict):
+            side = "baseline" if not isinstance(base_prov, dict) else "fresh"
+            notices.append(f"{section}: the {side} run records no provenance")
+            continue
+        diffs = [f"{field} {base_prov.get(field)!r} -> "
+                 f"{fresh_prov.get(field)!r}"
+                 for field in HOST_FIELDS
+                 if base_prov.get(field) != fresh_prov.get(field)]
+        if diffs:
+            notices.append(f"{section}: " + "; ".join(diffs))
+    return notices
+
+
+def print_host_notice(notices: list[str]) -> None:
+    bar = "!" * 72
+    print(bar)
+    print("!! HOST MISMATCH: baseline and fresh run come from different hosts")
+    print("!! or builds. Ratios below compare two machines; verdicts are")
+    print("!! unchanged, but re-baseline on this host before trusting them.")
+    for notice in notices:
+        print(f"!!   {notice}")
+    print(bar)
 
 
 def run_gate(baseline: dict, fresh: dict, *, threshold: float = 0.25,
@@ -169,6 +218,9 @@ def self_test() -> int:
     """Unit checks for the gate logic itself (CI runs these first)."""
     base = {"bench": {"ns_per_measure": 100.0, "rss_peak_mb": 50.0,
                       "bit_identical_to_in_process": 1.0}}
+    prov = {"cpu": "x", "nproc": 4, "compiler": "GNU 12.2.0",
+            "build_type": "Release", "lto": "OFF", "simd": "avx2",
+            "git_sha": "abc"}
 
     def failures_of(fresh, **kw):
         return run_gate(base, fresh, **kw)[1]
@@ -200,6 +252,28 @@ def self_test() -> int:
             {"bench": {"ns_per_measure": 100.0, "rss_peak_mb": 50.0,
                        "bit_identical_to_in_process": 1.0},
              "context_only": {"samples_per_sec": 1e6}}),
+        "host mismatch noticed": host_mismatches(
+            {"bench": {"provenance": prov}},
+            {"bench": {"provenance": dict(prov, cpu="other", nproc=64)}}
+        ) == ["bench: cpu 'x' -> 'other'; nproc 4 -> 64"],
+        "same host is silent whatever the git sha": not host_mismatches(
+            {"bench": {"provenance": prov}},
+            {"bench": {"provenance": dict(prov, git_sha="def-dirty")}}),
+        "missing provenance on one side noticed": host_mismatches(
+            {"bench": {"ns_per_measure": 1.0}},
+            {"bench": {"provenance": prov}}) == [
+                "bench: the baseline run records no provenance"],
+        "no provenance anywhere is silent": not host_mismatches(base, base),
+        "host mismatch never changes a verdict": run_gate(
+            {"bench": dict(base["bench"], provenance=prov)},
+            {"bench": {"ns_per_measure": 101.0, "rss_peak_mb": 50.0,
+                       "bit_identical_to_in_process": 1.0,
+                       "provenance": dict(prov, cpu="other")}})[1] == []
+        and len(run_gate(
+            {"bench": dict(base["bench"], provenance=prov)},
+            {"bench": {"ns_per_measure": 200.0, "rss_peak_mb": 50.0,
+                       "bit_identical_to_in_process": 1.0,
+                       "provenance": dict(prov, cpu="other")}})[1]) == 1,
         "near-zero abs rule": not failures_of(
             {"bench": {"ns_per_measure": 100.0, "rss_peak_mb": 50.0,
                        "bit_identical_to_in_process": 1.0}},
@@ -244,6 +318,9 @@ def main() -> int:
 
     baseline = load(args.baseline)
     fresh = load(args.fresh)
+    notices = host_mismatches(baseline, fresh)
+    if notices:
+        print_host_notice(notices)
     rows, failures, compared = run_gate(
         baseline, fresh, threshold=args.threshold,
         min_allocs=args.min_allocs, min_abs=args.min_abs)

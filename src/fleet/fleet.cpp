@@ -280,6 +280,12 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
   serve::TelemetryStore* store = config_.store.get();
   std::vector<std::uint8_t> chunk(1u << 16);
   core::RawSample sample;
+  // Store path only: a span's accepted samples, decoded and ingested in
+  // one go after the record pass. Grown to the largest span seen.
+  std::vector<core::ThermoWord> span_words;
+  std::vector<core::DelayCode> span_codes;
+  std::vector<core::VoltageBin> span_bins;
+  std::vector<serve::IngestRecord> span_records;
 
   for (;;) {
     bool any_open = false;
@@ -329,6 +335,13 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
         }
         // One pass over the records: the span's type and size were checked
         // once by span_sample_count; each record keeps its layout check.
+        if (store != nullptr && span_records.size() < count) {
+          span_words.resize(count);
+          span_codes.resize(count);
+          span_bins.resize(count);
+          span_records.resize(count);
+        }
+        std::size_t accepted = 0;
         const std::uint8_t* rec = frame->payload + net::kSpanHeaderBytes;
         for (std::size_t i = 0; i < count;
              ++i, rec += net::kSampleWireBytes) {
@@ -346,20 +359,26 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
           matrix.words[idx] = sample.word;
           matrix.code_values[idx] = sample.code.value();
           matrix.valid[idx] = 1;
-          // The drain pass proper: ENC + voltage conversion + serving.
+          // The drain pass proper: ENC here; voltage conversion and serving
+          // once per span below.
           (void)encoder.encode(sample.word);
           if (store != nullptr) {
-            const core::VoltageBin bin =
-                ladder_.decode(sample.word, sample.code);
-            serve::IngestRecord rec;
-            rec.site = sample.site_id;
-            rec.timestamp = sample.timestamp;
-            rec.volts = bin.estimate().value();
-            rec.latency_us = last_latency_us;
-            rec.in_range = bin.in_range();
-            rec.valid = true;
-            store->ingest_locked(rec);
+            span_words[accepted] = sample.word;
+            span_codes[accepted] = sample.code;
+            span_records[accepted].site = sample.site_id;
+            span_records[accepted].timestamp = sample.timestamp;
+            ++accepted;
           }
+        }
+        if (accepted > 0) {
+          ladder_.decode_span(span_words.data(), span_codes.data(), accepted,
+                              span_bins.data());
+          for (std::size_t i = 0; i < accepted; ++i) {
+            span_records[i].volts = span_bins[i].estimate().value();
+            span_records[i].in_range = span_bins[i].in_range();
+            span_records[i].latency_us = last_latency_us;
+          }
+          store->ingest_span_locked(span_records.data(), accepted);
         }
       }
       if (slot->parser.failed()) {

@@ -77,8 +77,10 @@ struct FleetConfig {
   // Abort guard for the whole run (worker wedge / protocol bug).
   int run_deadline_ms = 120000;
 
-  // Optional serving layer: every decoded sample is ingested (thread-safe
-  // ingest_locked — aggregator threads don't map 1:1 onto store shards).
+  // Optional serving layer: each span's samples are decoded with one
+  // DecodeLadder::decode_span and ingested with one ingest_span_locked
+  // (thread-safe, one shard lock per site run — aggregator threads don't map
+  // 1:1 onto store shards).
   std::shared_ptr<serve::TelemetryStore> store;
 };
 

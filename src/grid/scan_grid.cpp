@@ -688,8 +688,9 @@ void ScanGrid::aggregate() {
 
   // The store lane: the caller thread is the store's single writer. Workers
   // have already encoded, decoded and assembled every record on the rings;
-  // this loop only ingests them. The degradation mirror (resilience
-  // telemetry → store atomics) refreshes once per drain sweep.
+  // this loop only ingests them, one popped chunk per ingest_span. The
+  // degradation mirror (resilience telemetry → store atomics) refreshes once
+  // per drain sweep.
   serve::TelemetryStore* store = config_.store.get();
   Counter* serve_ingested = nullptr;
   Counter* deg_injected = nullptr;
@@ -745,7 +746,7 @@ void ScanGrid::aggregate() {
         drained_counter.increment(got);
         if (store == nullptr) continue;
         serve_ingested->increment(got);
-        for (std::size_t i = 0; i < got; ++i) store->ingest(chunk[i]);
+        store->ingest_span(chunk.data(), got);
       }
       depth.set(static_cast<double>(shard->ring.size()));
     }

@@ -16,7 +16,6 @@ HistogramSketch::HistogramSketch(const SketchConfig& config)
   gamma_ = (1.0 + config.alpha) / (1.0 - config.alpha);
   inv_log_gamma_ = 1.0 / std::log(gamma_);
   inv_min_ = 1.0 / config.min_value;
-  buckets_.assign(config.bucket_count, 0);
 }
 
 std::size_t HistogramSketch::bucket_index(double v) const {
@@ -24,29 +23,39 @@ std::size_t HistogramSketch::bucket_index(double v) const {
   const double r = std::log(v * inv_min_) * inv_log_gamma_;
   const auto i = static_cast<long long>(std::ceil(r));
   if (i < 0) return 0;
-  const auto last = static_cast<long long>(buckets_.size()) - 1;
+  const auto last = static_cast<long long>(config_.bucket_count) - 1;
   return static_cast<std::size_t>(std::min(i, last));
 }
 
-void HistogramSketch::add(double v) {
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
+void HistogramSketch::cover(std::size_t i) {
+  const std::size_t lo = size_ == 0 ? i : std::min(i, offset_);
+  const std::size_t hi = size_ == 0 ? i : std::max(i, offset_ + size_ - 1);
+  const std::size_t need = hi - lo + 1;
+  const std::size_t shift = size_ == 0 ? 0 : offset_ - lo;  // new low buckets
+  if (need <= kInlineBuckets) {
+    // Still inline: slide the counts up by `shift`, zero the new buckets.
+    if (shift > 0) {
+      std::copy_backward(inline_.begin(), inline_.begin() + size_,
+                         inline_.begin() + shift + size_);
+      std::fill_n(inline_.begin(), shift, 0);
+    }
+    std::fill(inline_.begin() + shift + size_, inline_.begin() + need, 0);
   } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+    if (need > heap_.capacity()) {
+      // Geometric growth, capped at the full bucket range.
+      heap_.reserve(std::min(config_.bucket_count,
+                             std::max(need, 2 * heap_.capacity())));
+    }
+    if (heap_.empty()) heap_.assign(inline_.begin(), inline_.begin() + size_);
+    heap_.insert(heap_.begin(), shift, 0);
+    heap_.resize(need);
   }
-  ++count_;
-  sum_ += v;
-  if (v <= 0.0) {
-    ++zero_count_;
-    return;
-  }
-  if (v != memo_value_) {
-    memo_value_ = v;
-    memo_bucket_ = bucket_index(v);
-  }
-  ++buckets_[memo_bucket_];
+  offset_ = lo;
+  size_ = need;
+}
+
+void HistogramSketch::add(double v) {
+  add(v, v <= 0.0 ? 0 : bucket_index(v));
 }
 
 void HistogramSketch::merge(const HistogramSketch& other) {
@@ -63,13 +72,17 @@ void HistogramSketch::merge(const HistogramSketch& other) {
   count_ += other.count_;
   zero_count_ += other.zero_count_;
   sum_ += other.sum_;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
+  if (other.size_ == 0) return;
+  cover(other.offset_);
+  cover(other.offset_ + other.size_ - 1);
+  std::uint64_t* dst = counts() + (other.offset_ - offset_);
+  const std::uint64_t* src = other.counts();
+  for (std::size_t k = 0; k < other.size_; ++k) dst[k] += src[k];
 }
 
 void HistogramSketch::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  heap_.clear();
+  size_ = 0;
   count_ = 0;
   zero_count_ = 0;
   sum_ = 0.0;
@@ -86,7 +99,7 @@ double HistogramSketch::max() const { return count_ ? max_ : 0.0; }
 
 double HistogramSketch::max_trackable() const {
   return config_.min_value *
-         std::pow(gamma_, static_cast<double>(buckets_.size()) - 1.0);
+         std::pow(gamma_, static_cast<double>(config_.bucket_count) - 1.0);
 }
 
 double HistogramSketch::bucket_estimate(std::size_t i) const {
@@ -106,12 +119,16 @@ double HistogramSketch::quantile(double q) const {
   std::uint64_t cumulative = zero_count_;
   double estimate = 0.0;
   if (rank >= cumulative) {
-    std::size_t i = 0;
-    for (; i < buckets_.size(); ++i) {
-      cumulative += buckets_[i];
+    // The positive counts sum to count_ - zero_count_ > rank - cumulative,
+    // so the walk always stops inside the stored range.
+    const std::uint64_t* c = counts();
+    std::size_t k = 0;
+    while (k + 1 < size_) {
+      cumulative += c[k];
       if (rank < cumulative) break;
+      ++k;
     }
-    estimate = bucket_estimate(std::min(i, buckets_.size() - 1));
+    estimate = bucket_estimate(offset_ + k);
   }
   // The true order statistic lies within the observed extremes, so clamping
   // can only tighten the estimate (and repairs clamped edge buckets).

@@ -23,6 +23,10 @@ std::uint64_t WindowRing::epoch_of(Picoseconds t) const {
 }
 
 void WindowRing::add(Picoseconds t, double v) {
+  add(t, v, v <= 0.0 ? 0 : slots_.front().sketch.bucket_index(v));
+}
+
+void WindowRing::add(Picoseconds t, double v, std::size_t bucket) {
   const std::uint64_t e = epoch_of(t);
   // Older than the retention horizon: its window was already evicted, and
   // merging it into whatever lives in that slot now would corrupt a newer
@@ -42,7 +46,7 @@ void WindowRing::add(Picoseconds t, double v) {
     slot.sketch.reset();
   }
   slot.stats.add(v);
-  slot.sketch.add(v);
+  slot.sketch.add(v, bucket);
   if (latest_epoch_ == WindowSlot::kNoEpoch || e > latest_epoch_) {
     latest_epoch_ = e;
   }

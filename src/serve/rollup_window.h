@@ -54,6 +54,9 @@ class WindowRing {
   // window. Samples older than the retention horizon are counted in
   // late_drops() and otherwise ignored.
   void add(Picoseconds t, double v);
+  // add() with v's bucket under config().sketch already known
+  // (HistogramSketch::add(v, bucket)).
+  void add(Picoseconds t, double v, std::size_t bucket);
 
   [[nodiscard]] std::uint64_t epoch_of(Picoseconds t) const;
   [[nodiscard]] std::uint64_t latest_epoch() const { return latest_epoch_; }

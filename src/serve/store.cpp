@@ -34,6 +34,10 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   std::vector<SiteState> sites;         // parallel to site_ids
   HistogramSketch voltage;
   HistogramSketch latency;
+  // bucket_index() memos for the window, voltage and latency sketches.
+  BucketIndexCache window_buckets;
+  BucketIndexCache voltage_buckets;
+  BucketIndexCache latency_buckets;
   stats::OnlineStats voltage_stats;
   stats::OnlineStats latency_stats;
   TopKDroop top_droop;
@@ -56,13 +60,16 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   // the pointer. The mutex guards only that assignment/copy.
   mutable std::mutex snap_mutex;
   std::shared_ptr<const ShardSnapshot> published;
-  // Serializes ingest_locked() callers; untouched by the lock-free ingest()
-  // contract (one entry point per shard per deployment).
+  // Serializes ingest_span_locked() callers; untouched by the lock-free
+  // ingest paths (one entry point per shard per deployment).
   std::mutex ingest_mutex;
 
   Shard(const StoreConfig& config, std::size_t shard_index)
       : voltage(config.voltage_sketch),
         latency(config.latency_sketch),
+        window_buckets(config.window.sketch),
+        voltage_buckets(config.voltage_sketch),
+        latency_buckets(config.latency_sketch),
         top_droop(config.site_count, config.top_k),
         until_publish(config.publish_every) {
     for (std::uint32_t site = static_cast<std::uint32_t>(shard_index);
@@ -98,45 +105,83 @@ TelemetryStore::TelemetryStore(const StoreConfig& config) : config_(config) {
 TelemetryStore::~TelemetryStore() = default;
 
 void TelemetryStore::ingest(const IngestRecord& record) {
-  PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
-  Shard& shard = *shards_[shard_of(record.site)];
-  const std::uint32_t index = Shard::local_index(record.site, config_.shards);
+  ingest_span(&record, 1);
+}
+
+void TelemetryStore::ingest_span(const IngestRecord* records, std::size_t n) {
+  for (std::size_t i = 0; i < n;) i += ingest_run(records + i, n - i);
+}
+
+void TelemetryStore::ingest_span_locked(const IngestRecord* records,
+                                        std::size_t n) {
+  for (std::size_t i = 0; i < n;) {
+    PSNT_CHECK(records[i].site < config_.site_count,
+               "ingest site out of range");
+    Shard& shard = *shards_[shard_of(records[i].site)];
+    const std::lock_guard<std::mutex> guard(shard.ingest_mutex);
+    i += ingest_run(records + i, n - i);
+  }
+}
+
+std::size_t TelemetryStore::ingest_run(const IngestRecord* records,
+                                       std::size_t n) {
+  const std::uint32_t site_id = records[0].site;
+  PSNT_CHECK(site_id < config_.site_count, "ingest site out of range");
+  const std::size_t shard_index = shard_of(site_id);
+  Shard& shard = *shards_[shard_index];
+  const std::uint32_t index = Shard::local_index(site_id, config_.shards);
   Shard::SiteState& site = shard.sites[index];
   if (!site.dirty) {
     site.dirty = true;
     shard.dirty.push_back(index);
   }
 
-  ++shard.ingested;
-  ++site.ingested;
-  if (!record.valid) {
-    ++site.invalid;
-  } else {
-    site.latest.seq = site.ingested;
-    site.latest.timestamp = record.timestamp;
-    site.latest.volts = record.volts;
-    site.latest.in_range = record.in_range;
-    if (!record.in_range) ++site.out_of_range;
-    site.windows.add(record.timestamp, record.volts);
-    shard.voltage.add(record.volts);
-    shard.voltage_stats.add(record.volts);
-    shard.top_droop.update(record.site, config_.v_nominal - record.volts);
+  // The run: this site's records up to the next one of another site or the
+  // shard's publish boundary, whichever comes first. Per-record state is
+  // the windows, the shard sketches/stats and the top-k; the site's latest
+  // reading is the run's last valid record. Sketch buckets come from the
+  // shard's bucket-index caches.
+  const std::size_t limit = std::min(n, shard.until_publish);
+  const double v_nominal = config_.v_nominal;
+  const IngestRecord* last_valid = nullptr;
+  std::size_t k = 0;
+  do {
+    const IngestRecord& rec = records[k];
+    if (!rec.valid) {
+      ++site.invalid;
+    } else {
+      last_valid = &rec;
+      const double v = rec.volts;
+      if (!rec.in_range) ++site.out_of_range;
+      const bool positive = v > 0.0;  // bucket_index needs v > 0
+      site.windows.add(rec.timestamp, v,
+                       positive ? shard.window_buckets.index(v) : 0);
+      shard.voltage.add(v, positive ? shard.voltage_buckets.index(v) : 0);
+      shard.voltage_stats.add(v);
+      shard.top_droop.update(site_id, v_nominal - v);
+    }
+    const double lat = rec.latency_us;
+    shard.latency.add(lat, lat > 0.0 ? shard.latency_buckets.index(lat) : 0);
+    shard.latency_stats.add(lat);
+  } while (++k < limit && records[k].site == site_id);
+
+  if (last_valid != nullptr) {
+    site.latest.seq =
+        site.ingested + static_cast<std::uint64_t>(last_valid - records) + 1;
+    site.latest.timestamp = last_valid->timestamp;
+    site.latest.volts = last_valid->volts;
+    site.latest.in_range = last_valid->in_range;
   }
-  shard.latency.add(record.latency_us);
-  shard.latency_stats.add(record.latency_us);
+  site.ingested += k;
+  shard.ingested += k;
   shard.ingested_mirror.store(shard.ingested, std::memory_order_relaxed);
 
-  if (--shard.until_publish == 0) {
+  shard.until_publish -= k;
+  if (shard.until_publish == 0) {
     shard.until_publish = config_.publish_every;
-    publish(shard_of(record.site));
+    publish(shard_index);
   }
-}
-
-void TelemetryStore::ingest_locked(const IngestRecord& record) {
-  PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
-  Shard& shard = *shards_[shard_of(record.site)];
-  const std::lock_guard<std::mutex> guard(shard.ingest_mutex);
-  ingest(record);
+  return k;
 }
 
 void TelemetryStore::publish(std::size_t shard_index) {

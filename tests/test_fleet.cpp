@@ -7,10 +7,15 @@
 // counted and mirrored into the serving layer's degradation status.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "calib/fit.h"
 #include "fleet/fleet.h"
 #include "fleet/partition.h"
+#include "serve/query.h"
 #include "serve/store.h"
 
 namespace psnt::fleet {
@@ -171,6 +176,120 @@ TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   EXPECT_EQ(config.store->degradation().samples_lost, degradation);
   EXPECT_EQ(config.store->degradation().sites_quarantined, 1u);
   EXPECT_EQ(config.store->total_ingested(), result.samples_valid);
+}
+
+// --- serving layer ---------------------------------------------------------
+
+serve::StoreConfig fleet_store_config(std::size_t sites) {
+  serve::StoreConfig sc;
+  sc.site_count = sites;
+  sc.shards = 2;
+  sc.publish_every = 16;  // many publishes under the aggregators' locks
+  return sc;
+}
+
+// Everything a site snapshot holds, as raw bits.
+std::vector<std::uint64_t> site_bits(const serve::SiteSnapshot& s) {
+  std::vector<std::uint64_t> bits{
+      s.site,
+      s.latest.seq,
+      std::bit_cast<std::uint64_t>(s.latest.timestamp.value()),
+      std::bit_cast<std::uint64_t>(s.latest.volts),
+      s.latest.in_range ? 1u : 0u,
+      s.ingested,
+      s.out_of_range,
+      s.invalid,
+      s.latest_epoch};
+  for (const serve::WindowSlot& slot : s.windows) {
+    bits.push_back(slot.epoch);
+    bits.push_back(slot.stats.count());
+    bits.push_back(std::bit_cast<std::uint64_t>(slot.stats.mean()));
+    bits.push_back(std::bit_cast<std::uint64_t>(slot.stats.variance()));
+    bits.push_back(std::bit_cast<std::uint64_t>(slot.sketch.sum()));
+    for (std::size_t b = 0; b < slot.sketch.config().bucket_count; ++b) {
+      bits.push_back(slot.sketch.bucket_count_at(b));
+    }
+  }
+  return bits;
+}
+
+serve::HistogramSketch voltage_sketch(const serve::TelemetryStore& store) {
+  serve::HistogramSketch merged{store.config().voltage_sketch};
+  for (const auto& shard : store.snapshot().shards) {
+    if (shard) merged.merge(shard->voltage);
+  }
+  return merged;
+}
+
+// A store-attached fleet decodes each span with one decode_span and ingests
+// it with one ingest_span_locked. Each site's samples arrive in capture
+// order on one connection, so its store state equals a per-record ingest of
+// the in-process capture, at any aggregator thread count. Latencies are
+// wall times and the shard-wide Welford stats depend on how aggregator
+// threads interleave, so only the voltage sketch's buckets are compared at
+// shard level.
+TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
+  auto config = small_config();
+  config.samples_per_site = 200;  // several windows rotate per site
+
+  serve::TelemetryStore reference{fleet_store_config(config.sites)};
+  const core::DecodeLadder ladder =
+      calib::make_paper_decode_ladder(calib::calibrated().model);
+  std::vector<core::RawSample> capture;
+  for (std::uint32_t site = 0; site < config.sites; ++site) {
+    capture.clear();
+    FleetCoordinator::capture_site(
+        config, site, 0, static_cast<std::uint32_t>(config.samples_per_site),
+        capture);
+    for (const core::RawSample& sample : capture) {
+      const core::VoltageBin bin = ladder.decode(sample.word, sample.code);
+      serve::IngestRecord rec;
+      rec.site = sample.site_id;
+      rec.timestamp = sample.timestamp;
+      rec.volts = bin.estimate().value();
+      rec.in_range = bin.in_range();
+      reference.ingest(rec);
+    }
+  }
+  reference.publish_all();
+  const serve::QueryEngine want(reference);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(std::to_string(threads) + " aggregator threads");
+    auto run_config = config;
+    run_config.aggregator_threads = threads;
+    run_config.store = std::make_shared<serve::TelemetryStore>(
+        fleet_store_config(config.sites));
+    FleetCoordinator fleet(run_config);
+    const auto result = fleet.run();
+    ASSERT_TRUE(result.completed);
+    ASSERT_EQ(result.samples_valid, result.samples_expected);
+    EXPECT_EQ(result.frame_errors, 0u);
+    EXPECT_TRUE(
+        result.matrix.identical_to(FleetCoordinator::run_in_process(config)));
+
+    const serve::QueryEngine got(*run_config.store);
+    EXPECT_EQ(got.ingested(), result.samples_expected);
+    for (std::uint32_t site = 0; site < config.sites; ++site) {
+      ASSERT_NE(got.site(site), nullptr) << "site " << site;
+      EXPECT_EQ(site_bits(*got.site(site)), site_bits(*want.site(site)))
+          << "site " << site;
+    }
+    const serve::HistogramSketch got_v = voltage_sketch(*run_config.store);
+    const serve::HistogramSketch want_v = voltage_sketch(reference);
+    EXPECT_EQ(got_v.count(), want_v.count());
+    for (std::size_t b = 0; b < got_v.config().bucket_count; ++b) {
+      ASSERT_EQ(got_v.bucket_count_at(b), want_v.bucket_count_at(b))
+          << "voltage bucket " << b;
+    }
+    const auto got_top = got.top_droop(8);
+    const auto want_top = want.top_droop(8);
+    ASSERT_EQ(got_top.size(), want_top.size());
+    for (std::size_t i = 0; i < got_top.size(); ++i) {
+      EXPECT_EQ(got_top[i].site, want_top[i].site);
+      EXPECT_EQ(got_top[i].droop, want_top[i].droop);
+    }
+  }
 }
 
 // --- matrix predicate ------------------------------------------------------
