@@ -172,6 +172,7 @@ void report() {
   json.set("fleet_soak", "bit_identical_to_in_process",
            identical && clean ? 1.0 : 0.0);
   json.set_rss("fleet_soak");
+  json.set_raw("fleet_soak", "provenance", bench::provenance_json());
   json.write();
 }
 

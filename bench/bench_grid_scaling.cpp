@@ -255,6 +255,7 @@ void report() {
   grid_json.set("grid_batch", "samples_per_sec_1t", batch.samples_per_sec);
   grid_json.set("grid_batch", "bit_identical_to_serial",
                 batch_serial_ok ? 1.0 : 0.0);
+  grid_json.set_raw("grid_batch", "provenance", bench::provenance_json());
   grid_json.write();
   report_simcore_structural();
 }
@@ -341,6 +342,7 @@ void report_simcore_structural() {
            kSeedAllocsPerMeasure);
   json.set("grid_structural", "speedup_vs_seed",
            kSeedNsPerMeasure / ns_per_measure);
+  json.set_raw("grid_structural", "provenance", bench::provenance_json());
   json.write();
 
   char line[200];

@@ -110,6 +110,7 @@ void report_simcore() {
            kSeedAllocsPerMeasure);
   json.set("scan_throughput", "speedup_vs_seed",
            kSeedNsPerMeasure / ns_per_measure);
+  json.set_raw("scan_throughput", "provenance", bench::provenance_json());
   json.write();
 
   char line[160];

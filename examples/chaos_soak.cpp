@@ -7,7 +7,7 @@
 // site, against the retry / majority-vote / quarantine ResiliencePolicy.
 // The soak prints the degradation scoreboard (injected faults by kind,
 // retries, recoveries, losses, quarantines), the delivered fraction, and the
-// full telemetry registry. Because the injector is a pure counter-hash of
+// grid's runtime counters. Because the injector is a pure counter-hash of
 // (seed, site, sample, attempt), rerunning this binary reproduces the same
 // storm, the same traces, and the same words at any thread count.
 //
@@ -63,7 +63,6 @@ int main() {
   config.resilience.quarantine_after = 3;
   config.resilience.backoff_base_us = 2;
   config.resilience.backoff_cap_us = 64;
-  config.snapshot_csv_path = "chaos_soak_telemetry.csv";
 
   grid::ScanGrid grid{fp, config,
                       grid::ScanGrid::ir_gradient_rails(
@@ -126,7 +125,5 @@ int main() {
 
   std::printf("\ntelemetry:\n");
   grid.telemetry().write_text(std::cout);
-  std::printf("\ntelemetry snapshot exported to %s\n",
-              config.snapshot_csv_path.c_str());
   return 0;
 }

@@ -8,11 +8,10 @@
 // grid.enc.* statistics, and ship decoded readings through the SPSC rings;
 // the caller thread's store lane feeds every one into the attached
 // serve::TelemetryStore. Reporting then goes through the store's query API
-// (DESIGN.md §13) — throughput, voltage quantiles, worst-droop leaderboard,
-// degradation — plus the runtime telemetry and the die voltage map. The old
-// CSV telemetry dump is opt-in: pass `--csv [path]` to also export it.
+// (DESIGN.md §13) — throughput, voltage and latency quantiles, worst-droop
+// leaderboard, degradation — plus the runtime counters, one windowed line
+// per site and the die voltage map.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <thread>
@@ -23,23 +22,9 @@
 #include "serve/query.h"
 #include "serve/store.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace psnt;
   using namespace psnt::literals;
-
-  // CSV telemetry export is opt-in (`--csv` or `--csv path`); default
-  // reporting queries the in-memory store instead.
-  std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = (i + 1 < argc && argv[i + 1][0] != '-')
-                     ? argv[++i]
-                     : "grid_monitor_telemetry.csv";
-    } else {
-      std::fprintf(stderr, "usage: %s [--csv [path]]\n", argv[0]);
-      return 2;
-    }
-  }
 
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
 
@@ -59,12 +44,14 @@ int main(int argc, char** argv) {
   config.interval = Picoseconds{10000.0};
   config.code = core::DelayCode{3};
   config.seed = 2026;
-  config.snapshot_csv_path = csv_path;
 
   serve::StoreConfig store_config;
   store_config.site_count = fp.site_count();
   store_config.shards = 1;  // the drain is the single writer
   store_config.v_nominal = 1.0;
+  // Ten 50 ns windows retain the whole 480 ns run, so the per-site rollups
+  // below cover every sample, the first droop included.
+  store_config.window.windows = 10;
   auto store = std::make_shared<serve::TelemetryStore>(store_config);
   config.store = store;
 
@@ -102,6 +89,23 @@ int main(int argc, char** argv) {
   serve::QueryEngine query(*store);
   std::printf("%s\n", query.render_summary(5).c_str());
 
+  // Per-site view, also from the store: each site's windowed rollup merged
+  // over every retained window.
+  const std::size_t windows = store_config.window.windows;
+  std::printf("per-site rollups (%zu windows of %.0f ns):\n", windows,
+              store_config.window.width.value() * 1e-3);
+  for (std::uint32_t i = 0; i < fp.site_count(); ++i) {
+    const auto* snap = query.site(i);
+    const auto w = query.windowed(i, windows);
+    if (snap == nullptr || !w || w->stats.count() == 0) continue;
+    std::printf("  site %2u  %3llu ingested  %3llu out of range  "
+                "min %.3f  mean %.3f  max %.3f V\n",
+                i, static_cast<unsigned long long>(snap->ingested),
+                static_cast<unsigned long long>(snap->out_of_range),
+                w->stats.min(), w->stats.mean(), w->stats.max());
+  }
+  std::printf("\n");
+
   grid.telemetry().write_text(std::cout);
 
   // Worst-droop snapshot: re-assemble the final sample of every site into a
@@ -120,9 +124,5 @@ int main(int argc, char** argv) {
   std::printf("worst site: %u (%.3f V), gradient %.1f mV\n",
               map.worst_site().site_id, map.worst_site().estimate.value(),
               map.gradient().value() * 1e3);
-
-  if (!csv_path.empty()) {
-    std::printf("\ntelemetry snapshot exported to %s\n", csv_path.c_str());
-  }
   return 0;
 }

@@ -7,7 +7,7 @@
 // (DESIGN.md §13). Per-scenario health is judged from store queries: the
 // site's out-of-range fraction from its published counters, the worst/best
 // readings from its merged windowed rollups, throughput and droop from the
-// global snapshot. The old CSV telemetry export is opt-in via `--csv`.
+// global snapshot.
 //
 // The measurement loop itself is the grid::ScanGrid runtime: each scenario
 // is one site of a scan grid with the per-site auto-range code policy, so
@@ -15,7 +15,6 @@
 // per-sample measure/observe/retrim sequencing lives in one place instead
 // of a hand-rolled polling loop here.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -25,21 +24,9 @@
 #include "serve/query.h"
 #include "serve/store.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace psnt;
   using namespace psnt::literals;
-
-  std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = (i + 1 < argc && argv[i + 1][0] != '-')
-                     ? argv[++i]
-                     : "noise_monitor_telemetry.csv";
-    } else {
-      std::fprintf(stderr, "usage: %s [--csv [path]]\n", argv[0]);
-      return 2;
-    }
-  }
 
   std::printf("continuous PSN monitor: auto-ranged, store-backed reports\n\n");
 
@@ -69,7 +56,6 @@ int main(int argc, char** argv) {
   config.interval = Picoseconds{10000.0};
   config.code = core::DelayCode{3};
   config.code_policy = grid::CodePolicy::kAutoRange;
-  config.snapshot_csv_path = csv_path;
 
   serve::StoreConfig store_config;
   store_config.site_count = fp.site_count();
@@ -151,9 +137,6 @@ int main(int argc, char** argv) {
 
   // Fleet-level view across all scenario sites, straight from the store.
   std::printf("%s\n", query.render_summary(3).c_str());
-  if (!csv_path.empty()) {
-    std::printf("telemetry snapshot exported to %s\n\n", csv_path.c_str());
-  }
 
   std::printf(failures == 0
                   ? "all scenarios handled (resonance correctly alarmed).\n"

@@ -76,10 +76,6 @@ struct ScanGrid::Shard {
   std::vector<core::EncodedWord> encoded;
   std::vector<serve::IngestRecord> records;
   std::vector<std::uint32_t> forced_pushes;  // chaos: ring-storm pushes
-  std::vector<double> latency_vals;
-  std::vector<double> volt_vals;
-  std::vector<double> vdd_vals;   // site_vdd_volts feed
-  std::vector<double> ones_vals;  // site_word_ones feed
   std::atomic<bool> done{false};
 
   Shard(std::size_t ring_capacity, core::BubblePolicy bubble_policy)
@@ -208,13 +204,6 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   hot_.sim_events = &telemetry_.counter("grid.sim_events");
   hot_.sim_allocs = &telemetry_.counter("grid.sim_allocs");
   hot_.structural_ns = &telemetry_.counter("grid.structural_ns");
-  hot_.latency =
-      &telemetry_.histogram("grid.measure_latency_us", 0.0, 500.0, 50);
-  hot_.volts = &telemetry_.histogram("grid.vdd_volts", 0.7, 1.3, 60);
-  hot_.vdd_rollup =
-      &telemetry_.site_rollup("site_vdd_volts", floorplan.site_count());
-  hot_.ones_rollup =
-      &telemetry_.site_rollup("site_word_ones", floorplan.site_count());
 
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
@@ -417,34 +406,16 @@ void ScanGrid::finish_batch(Site& site, Shard& shard, std::size_t n,
   shard.encoded.resize(n);
   shard.enc.encode_span(shard.words.data(), n,
                         shard.encoded.data());  // grid.enc.* tallies
-  shard.latency_vals.resize(n);
-  shard.volt_vals.resize(n);
-  shard.vdd_vals.resize(n);
-  shard.ones_vals.resize(n);
-  std::size_t n_volts = 0;
-  std::size_t n_vdd = 0;
   std::vector<core::Measurement>& samples = site.row.samples;
   for (std::size_t i = 0; i < n; ++i) {
     const core::RawSample& raw = shard.raws[i];
-    const core::VoltageBin& bin = shard.bins[i];
-    const double volts = shard.records[i].volts;
     // The row grows as samples land (indices ascend): the slots of samples
     // that never arrived are value-initialized and stay invalid.
     samples.resize(raw.sample_index);
-    samples.push_back(core::assemble_measurement(raw, bin));
+    samples.push_back(core::assemble_measurement(raw, shard.bins[i]));
     site.row.valid[raw.sample_index] = true;
-    shard.latency_vals[i] = shard.records[i].latency_us;
-    if (bin.in_range()) shard.volt_vals[n_volts++] = volts;
-    if (!bin.below_range() || !bin.above_range()) {
-      shard.vdd_vals[n_vdd++] = volts;
-    }
-    shard.ones_vals[i] = static_cast<double>(raw.word.count_ones());
   }
   samples.resize(batch_end);
-  hot_.latency->observe_span(shard.latency_vals.data(), n);
-  hot_.volts->observe_span(shard.volt_vals.data(), n_volts);
-  hot_.vdd_rollup->add_span(site.index, shard.vdd_vals.data(), n_vdd);
-  hot_.ones_rollup->add_span(site.index, shard.ones_vals.data(), n);
 }
 
 void ScanGrid::record_fault_events(Site& site,
@@ -657,7 +628,6 @@ void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
     shard.raws[accepted] = shard.raws[i];
     shard.words[accepted] = shard.words[i];
     shard.bins[accepted] = shard.bins[i];
-    shard.records[accepted] = shard.records[i];
     ++accepted;
   }
   finish_batch(site, shard, accepted, first + count);
@@ -843,12 +813,6 @@ RunResult ScanGrid::run() {
     telemetry_.counter("grid.enc.overflows").increment(enc.overflows);
     telemetry_.counter("grid.enc.bubbled_words").increment(enc.bubbled_words);
     telemetry_.counter("grid.enc.bubble_errors").increment(enc.bubble_errors);
-  }
-
-  if (!config_.snapshot_csv_path.empty()) {
-    if (telemetry_.export_csv(config_.snapshot_csv_path)) {
-      telemetry_.counter("grid.snapshots_exported").increment();
-    }
   }
   return result;
 }

@@ -4,11 +4,13 @@
 // per-site sensor simulations run on a fixed-size thread pool. Like the
 // paper's replicated sensor systems (Fig. 6), each of which carries its own
 // ENC next to its FF array, every worker encodes, decodes and files what it
-// captures: it runs ENC and voltage conversion over each site batch,
-// assembles the site's row of the ordered result matrix and feeds the
-// telemetry (latency/value histograms, per-site OnlineStats rollups). Only
-// compact decoded readings (serve::IngestRecord) cross a bounded SPSC ring
-// to the caller thread, which is the store lane.
+// captures: it runs ENC and voltage conversion over each site batch and
+// assembles the site's row of the ordered result matrix. Only compact
+// decoded readings (serve::IngestRecord) cross a bounded SPSC ring to the
+// caller thread, which is the store lane. The attached serve::TelemetryStore
+// is the grid's one per-sample statistics surface (per-site windowed
+// rollups, voltage/latency sketches, worst droop); the TelemetryRegistry
+// only counts events.
 //
 // Capture loops (chosen per site batch)
 //   * batched: one measure_raw_batch per site batch, for engines that
@@ -24,14 +26,13 @@
 //   worker-side steps: DecodeLadder::decode_span against the grid's
 //   immutable ladder, one ring push per batch (per sample under chaos),
 //   then, for the samples the ring accepted, StreamingEncoder::encode_span
-//   (the shard's ENC), assembly into the site's row, and the histogram and
-//   rollup feeds.
+//   (the shard's ENC) and assembly into the site's row.
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard is
 //     one long-lived job on the grid::ThreadPool, so exactly one thread
 //     produces into each shard's SpscRing (the SPSC contract) and exactly
-//     one thread writes each site's result row and rollup slot.
+//     one thread writes each site's result row.
 //   * The caller's thread is the store lane: it pops decoded records off
 //     every ring and ingests them into the attached serve::TelemetryStore
 //     (its single writer), until all shards report done; then it joins the
@@ -83,7 +84,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "analog/rail.h"
@@ -167,9 +167,6 @@ struct ScanGridConfig {
   // holds. 96 keeps a whole batch's SoA scratch inside L1 while amortizing
   // the per-batch dispatch (see DESIGN.md §14).
   std::size_t batch = 96;
-  // When non-empty, run() exports the telemetry snapshot to this CSV path
-  // once the scan is complete.
-  std::string snapshot_csv_path;
   // Always-on serving layer (null = off). When set, the caller thread's
   // store lane ingests every sample the rings deliver — latest/windowed
   // per-site rollups, global voltage/latency sketches, top-K droop — keyed
@@ -279,9 +276,8 @@ class ScanGrid {
   // Hot-path telemetry instruments, resolved once at construction. Lookup
   // takes the name as std::string; the grid.* names are long enough to
   // defeat SSO, so per-batch lookups were the residual allocations (~0.4 per
-  // measure before caching). Workers feed all of them concurrently: counters
-  // are atomic, histograms lock once per batch, and each rollup slot has one
-  // writer (the site's owning worker).
+  // measure before caching). Workers bump them concurrently; every one is
+  // an atomic counter.
   struct HotInstruments {
     Counter* stalls = nullptr;
     Counter* drops = nullptr;
@@ -289,10 +285,6 @@ class ScanGrid {
     Counter* sim_events = nullptr;
     Counter* sim_allocs = nullptr;
     Counter* structural_ns = nullptr;
-    ValueHistogram* latency = nullptr;  // grid.measure_latency_us
-    ValueHistogram* volts = nullptr;    // grid.vdd_volts
-    SiteRollup* vdd_rollup = nullptr;   // site_vdd_volts
-    SiteRollup* ones_rollup = nullptr;  // site_word_ones
   };
 
   void worker_run_shard(Shard& shard);
@@ -315,8 +307,8 @@ class ScanGrid {
   static void fill_record(const Site& site, Shard& shard, std::size_t i,
                           double wall_us);
   // The first `n` batch entries are the samples the ring accepted: runs
-  // them through the shard's ENC, assembles them into the site's row (which
-  // then ends at `batch_end`) and feeds the histograms and rollups.
+  // them through the shard's ENC and assembles them into the site's row
+  // (which then ends at `batch_end`).
   void finish_batch(Site& site, Shard& shard, std::size_t n,
                     std::size_t batch_end);
   // Fault/resilience path: per-sample retry, vote, quarantine. Selected for

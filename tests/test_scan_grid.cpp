@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "calib/fit.h"
@@ -54,14 +55,10 @@ TEST(ScanGrid, RunProducesEverySampleOfEverySite) {
       EXPECT_GE(site.samples[k].timestamp, grid.sample_time(k));
     }
   }
-  // Telemetry agrees with the result matrix.
+  // Telemetry agrees with the result matrix. Per-site statistics are the
+  // attached store's job (ServeGrid.StoreAnswersPerSiteStatistics...).
   EXPECT_EQ(grid.telemetry().counter("grid.samples_drained").value(),
             16u * 6u);
-  auto& latency =
-      grid.telemetry().histogram("grid.measure_latency_us", 0.0, 500.0, 50);
-  EXPECT_EQ(latency.stats().count(), 16u * 6u);
-  const auto& rollup = grid.telemetry().site_rollup("site_word_ones", 16);
-  EXPECT_EQ(rollup.merged().count(), 16u * 6u);
 }
 
 TEST(ScanGrid, DeterministicAcrossThreadCounts) {
@@ -202,18 +199,99 @@ TEST(ScanGrid, DropNewestPolicyAccountsForEverySample) {
   EXPECT_EQ(valid + result.dropped, result.produced);
 }
 
-TEST(ScanGrid, FinalCsvSnapshotIsExported) {
-  const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
+// --- metric names: the registry's names are an interface ---------------
+
+// Every counter and gauge name write_text lists, in its order.
+std::vector<std::string> listed_metric_names(const TelemetryRegistry& t) {
+  std::ostringstream text;
+  t.write_text(text);
+  std::istringstream lines(text.str());
+  std::vector<std::string> names;
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    fields >> name;
+    if (name.empty() || name == "==" || name == "metric") continue;
+    names.push_back(name);
+  }
+  return names;
+}
+
+// Registered by every run: the hot-path instruments, the store lane's
+// drain counter, and the ENC tallies summed after the join.
+const std::vector<std::string> kRunCounters = {
+    "grid.ring_stalls",       "grid.samples_dropped",
+    "grid.samples_produced",  "grid.sim_events",
+    "grid.sim_allocs",        "grid.structural_ns",
+    "grid.samples_drained",   "grid.enc.words",
+    "grid.enc.underflows",    "grid.enc.overflows",
+    "grid.enc.bubbled_words", "grid.enc.bubble_errors"};
+
+// The resilience counters, registered whenever the chaos loop runs; the
+// store lane mirrors the first five (with grid.samples_dropped) into the
+// store's degradation status.
+const std::vector<std::string> kChaosCounters = {
+    "grid.fault.injected",      "grid.retries",
+    "grid.samples_recovered",   "grid.samples_lost",
+    "grid.sites_quarantined",   "grid.vote_overrides",
+    "grid.measure_timeouts",    "grid.backoff_us",
+    "grid.fault.stuck_ds_node", "grid.fault.metastable_flip",
+    "grid.fault.code_drift",    "grid.fault.rail_droop",
+    "grid.fault.dead_site",     "grid.fault.hung_site",
+    "grid.fault.ring_overflow"};
+
+// write_text's listing of these counters: sorted by name, then the one
+// gauge every run registers.
+std::vector<std::string> listing(std::vector<std::string> counters,
+                                 const std::vector<std::string>& more) {
+  counters.insert(counters.end(), more.begin(), more.end());
+  std::sort(counters.begin(), counters.end());
+  counters.push_back("grid.ring_depth_last");
+  return counters;
+}
+
+// A renamed or lost grid.* metric breaks dashboards without breaking a
+// build, so the exact listing of a plain run is pinned, with and without
+// a store attached.
+TEST(ScanGrid, MetricNamesOfAPlainRunArePinned) {
+  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
+  {
+    ScanGrid grid{fp, base_config(2), test_rails(fp)};
+    (void)grid.run();
+    EXPECT_EQ(listed_metric_names(grid.telemetry()),
+              listing(kRunCounters, {}));
+  }
   auto config = base_config(2);
-  config.snapshot_csv_path = ::testing::TempDir() + "psnt_grid_snapshot.csv";
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  serve::StoreConfig store_config;
+  store_config.site_count = fp.site_count();
+  config.store = std::make_shared<serve::TelemetryStore>(store_config);
+  ScanGrid grid{fp, config, test_rails(fp)};
   (void)grid.run();
-  std::ifstream in(config.snapshot_csv_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream content;
-  content << in.rdbuf();
-  EXPECT_NE(content.str().find("grid.samples_produced"), std::string::npos);
-  EXPECT_NE(content.str().find("site_vdd_volts"), std::string::npos);
+  const std::vector<std::string> store_lane = {
+      "grid.serve.ingested",    "grid.serve.publishes",
+      "grid.fault.injected",    "grid.retries",
+      "grid.samples_recovered", "grid.samples_lost",
+      "grid.sites_quarantined"};
+  EXPECT_EQ(listed_metric_names(grid.telemetry()),
+            listing(kRunCounters, store_lane));
+}
+
+// The same pin for a run through the chaos loop (injector attached).
+TEST(ScanGrid, MetricNamesOfAChaosRunArePinned) {
+  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
+  fault::FaultStormConfig storm;
+  storm.p_metastable = 0.2;
+  storm.p_hung = 0.2;
+  auto config = base_config(2);
+  config.injector = std::make_shared<fault::FaultInjector>(11, storm);
+  config.resilience.max_retries = 2;
+  config.resilience.votes = 3;
+  ScanGrid grid{fp, config, test_rails(fp)};
+  const auto result = grid.run();
+  EXPECT_GT(result.faults_injected, 0u);
+  EXPECT_EQ(listed_metric_names(grid.telemetry()),
+            listing(kRunCounters, kChaosCounters));
 }
 
 // --- seeded property tests: worker-side ENC, decode and assembly --------
