@@ -14,6 +14,13 @@
 // A second section times the grid's one capture path (vectorized SoA batch
 // capture + worker-side decode) serially at one thread on a 16-site grid
 // and writes it to BENCH_grid.json as `grid_batch`.
+//
+// A third runs the chaos loop (retry, majority vote, quarantine) under the
+// perfbench `grid_chaos` storm and policy on a 1024-site grid at 1/2/4
+// workers, and writes the ungated `grid_chaos` section: samples/sec per
+// worker count and a `deterministic_across_workers` bit (words, validity,
+// fault traces and degradation counts equal to the 1-worker run).
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -24,7 +31,9 @@
 #include "bench/alloc_probe.h"
 #include "bench/bench_util.h"
 #include "calib/fit.h"
+#include "fault/fault_injector.h"
 #include "grid/scan_grid.h"
+#include "psn/pdn.h"
 #include "scan/scan_chain.h"
 #include "serve/store.h"
 
@@ -120,6 +129,111 @@ grid::RunResult run_with_store(const scan::Floorplan& fp,
 }
 
 void report_simcore_structural();
+
+// The chaos grid: perfbench's grid_chaos shape, storm and policy.
+constexpr std::size_t kChaosRows = 32;
+constexpr std::size_t kChaosCols = 32;
+constexpr std::size_t kChaosSamples = 512;
+
+grid::RunResult run_chaos(const scan::Floorplan& fp, std::size_t workers) {
+  // Every fault lane live, droop depth from a solved PDN step response.
+  fault::FaultStormConfig storm;
+  storm.p_stuck_site = 0.15;
+  storm.p_metastable = 0.10;
+  storm.p_code_drift = 0.08;
+  storm.p_rail_droop = 0.08;
+  storm.p_dead_site = 0.12;
+  storm.p_hung = 0.20;
+  storm.p_ring_storm = 0.05;
+  storm.droop_depth = fault::pdn_droop_depth(psn::LumpedPdnParams{}, 2.0);
+  storm.dead_onset_horizon = 24;
+  storm.ring_storm_pushes = 3;
+  auto config = grid_config(workers, kChaosSamples);
+  config.injector = std::make_shared<fault::FaultInjector>(kSeed, storm);
+  // Backoff 0: the run times the program, not sleep_for.
+  config.resilience.max_retries = 6;
+  config.resilience.votes = 3;
+  config.resilience.quarantine_after = 3;
+  config.resilience.backoff_base_us = 0;
+  grid::ScanGrid g{fp, config, bench_rails(fp)};
+  return g.run();
+}
+
+// True when `run` delivered exactly what `reference` did: validity, words,
+// codes and timestamps, fault traces and every degradation count.
+bool same_chaos_outcome(const grid::RunResult& run,
+                        const grid::RunResult& reference) {
+  bool same = run.sites.size() == reference.sites.size() &&
+              run.faults_injected == reference.faults_injected &&
+              run.retries == reference.retries &&
+              run.recovered == reference.recovered &&
+              run.lost == reference.lost &&
+              run.vote_overrides == reference.vote_overrides &&
+              run.quarantined_sites == reference.quarantined_sites;
+  for (std::size_t i = 0; same && i < run.sites.size(); ++i) {
+    const grid::SiteResult& a = run.sites[i];
+    const grid::SiteResult& b = reference.sites[i];
+    same &= a.valid == b.valid && a.fault_events == b.fault_events &&
+            a.quarantined == b.quarantined &&
+            a.quarantine_sample == b.quarantine_sample && a.lost == b.lost;
+    for (std::size_t k = 0; same && k < a.samples.size(); ++k) {
+      if (!a.valid[k]) continue;
+      same &= a.samples[k].word == b.samples[k].word &&
+              a.samples[k].code == b.samples[k].code &&
+              a.samples[k].timestamp.value() == b.samples[k].timestamp.value();
+    }
+  }
+  return same;
+}
+
+void report_grid_chaos(bench::JsonReport& grid_json) {
+  bench::section(
+      "grid chaos — 1024-site grid, 512 samples/site, fault storm through "
+      "retry/vote/quarantine, samples/sec vs workers → BENCH_grid.json");
+  const auto fp = scan::Floorplan::grid(8000.0, 8000.0, kChaosRows, kChaosCols);
+  // Best (minimum wall) of kRepeats interleaved runs per worker count; every
+  // run is checked against the first 1-worker run.
+  constexpr std::array<std::size_t, 3> kWorkers = {1, 2, 4};
+  constexpr int kRepeats = 3;
+  const grid::RunResult reference = run_chaos(fp, 1);
+  std::array<double, kWorkers.size()> best_sps{};
+  bool deterministic = true;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+      const grid::RunResult run = run_chaos(fp, kWorkers[w]);
+      deterministic &= same_chaos_outcome(run, reference);
+      best_sps[w] = std::max(best_sps[w], run.samples_per_second);
+    }
+  }
+
+  util::CsvTable table({"workers", "sites", "samples_per_sec", "produced",
+                        "lost", "faults_injected", "retries",
+                        "deterministic_across_workers"});
+  for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+    table.new_row()
+        .add(static_cast<long long>(kWorkers[w]))
+        .add(static_cast<long long>(fp.site_count()))
+        .add(best_sps[w], 7)
+        .add(static_cast<long long>(reference.produced))
+        .add(static_cast<long long>(reference.lost))
+        .add(static_cast<long long>(reference.faults_injected))
+        .add(static_cast<long long>(reference.retries))
+        .add(deterministic ? "yes" : "NO");
+    grid_json.set("grid_chaos",
+                  "samples_per_sec_" + std::to_string(kWorkers[w]) + "w",
+                  best_sps[w]);
+  }
+  bench::print_table(table);
+  bench::note("samples_per_sec counts samples offered to the rings (lost "
+              "samples excluded); deterministic_across_workers must read "
+              "'yes': worker count never changes a word, a fault or a loss");
+  grid_json.set("grid_chaos", "sites", static_cast<double>(fp.site_count()));
+  grid_json.set("grid_chaos", "samples_per_site",
+                static_cast<double>(kChaosSamples));
+  grid_json.set("grid_chaos", "deterministic_across_workers",
+                deterministic ? 1.0 : 0.0);
+  grid_json.set_raw("grid_chaos", "provenance", bench::provenance_json());
+}
 
 // The grid measured serially: 1 thread, one whole site per dispatch batch,
 // min-of-`repeats` wall time (behavioral measures are microsecond-scale,
@@ -226,6 +340,8 @@ void report() {
                 all_identical ? 1.0 : 0.0);
   grid_json.set_raw("grid_scaling_store", "provenance",
                     bench::provenance_json());
+
+  report_grid_chaos(grid_json);
 
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, kRows, kCols);
   const auto reference = serial_reference(fp, kSamples);

@@ -76,6 +76,7 @@ IDENTITY_METRICS = (
     "bit_identical_to_per_site",
     "bit_identical_to_in_process",
     "thread_invariant",
+    "deterministic_across_workers",
 )
 
 
@@ -237,6 +238,11 @@ def self_test() -> int:
             "correctness bit" in f for f in failures_of(
                 {"bench": {"ns_per_measure": 100.0, "rss_peak_mb": 50.0,
                            "bit_identical_to_in_process": 0.0}})),
+        "determinism bit enforced": any(
+            "deterministic_across_workers: correctness bit" in f
+            for f in run_gate(
+                {"chaos": {"deterministic_across_workers": 1.0}},
+                {"chaos": {"deterministic_across_workers": 0.0}})[1]),
         "section missing from fresh fails": any(
             "missing from fresh" in f for f in failures_of({})),
         "metric missing from fresh fails": any(

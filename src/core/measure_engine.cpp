@@ -137,15 +137,27 @@ ThermoWord BehavioralEngine::sense(const analog::RailPair& rails,
   PSNT_CHECK(!(code != pending_code_),
              "sense() code differs from the prepared code");
   const Picoseconds skew = pg_.skew(code);
-  ThermoWord word;
-  if (pending_target_ == SenseTarget::kVdd) {
-    const Volt v_eff = rails.effective(pending_launch_);
-    word = sense_word(high_sense_, high_kernel_, v_eff, skew);
+  const bool vdd = pending_target_ == SenseTarget::kVdd;
+  const SensorArray& array = vdd ? high_sense_ : low_sense_;
+  BatchedSenseKernel& kernel = vdd ? high_kernel_ : low_kernel_;
+  Volt v_eff;
+  if (vdd) {
+    v_eff = rails.effective(pending_launch_);
   } else {
     // LOW-SENSE inverter: nominal VDD against the noisy ground.
     PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
-    const Volt v_eff = config_.v_nominal - rails.gnd->at(pending_launch_);
-    word = sense_word(low_sense_, low_kernel_, v_eff, skew);
+    v_eff = config_.v_nominal - rails.gnd->at(pending_launch_);
+  }
+  // Ladder first: measure_raw_batch's selection for a batch of one. Only a
+  // sample the compare ladder flags (guard band, saturation boundary,
+  // outside the window, NaN) or an array it cannot serve at all takes the
+  // scalar path, whose words the ladder reproduces bit for bit.
+  const double v = v_eff.value();
+  ThermoWord word;
+  std::uint8_t need_scalar = 0;
+  if (!kernel.measure_batch(array, &v, 1, code, skew, &word, &need_scalar) ||
+      need_scalar != 0) {
+    word = sense_word(array, kernel, v_eff, skew);
   }
   ctx_.apply_word(word);
   // Drain the done cycle so the FSM is parked in IDLE for the next call.

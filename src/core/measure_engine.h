@@ -194,7 +194,10 @@ class BehavioralEngine {
   // SENSE: captures the word at the prepared launch instant against `rails`,
   // applies the context word hook, and parks the FSM back in IDLE. `code`
   // must be the prepared transaction's code (PREPARE configured the FSM and
-  // the PG tap with it).
+  // the PG tap with it). The word comes from the kernel's firing-ladder
+  // compare when it settles the supply, else from the scalar selection
+  // (kernel fast path or SensorArray::measure, the oracle) — bit-identical
+  // either way.
   ThermoWord sense(const analog::RailPair& rails, DelayCode code);
 
   // prepare + sense + decode, the full transaction.
@@ -218,7 +221,9 @@ class BehavioralEngine {
   // functions of time across the batch — true for every RailSource — and
   // that the hook does not read rail state mid-batch (the one hook
   // installer, fault::FaultSession, never does: chaos runs per-sample
-  // measure_raw()).
+  // measure_raw()). Single-sample sense() makes the same selection for its
+  // one sample: the firing-ladder compare first, the scalar path for a
+  // flagged sample.
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count, const analog::RailPair& rails,
                          std::vector<RawSample>& out);

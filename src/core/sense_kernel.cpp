@@ -119,9 +119,11 @@ bool BatchedSenseKernel::cell_fires(double v_eff_volts, std::size_t cell,
 
 const BatchedSenseKernel::FiringLadder& BatchedSenseKernel::firing_ladder(
     DelayCode code, Picoseconds skew) {
-  FiringLadder& entry = firing_[code.value()];
-  if (entry.valid && entry.skew.value() == skew.value()) return entry;
+  std::shared_ptr<const FiringLadder>& slot = firing_[code.value()];
+  if (slot && slot->skew.value() == skew.value()) return *slot;
 
+  auto solved = std::make_shared<FiringLadder>();
+  FiringLadder& entry = *solved;
   const std::size_t bits = c_total_pf_.size();
   entry.lo.resize(bits);
   entry.hi.resize(bits);
@@ -155,8 +157,8 @@ const BatchedSenseKernel::FiringLadder& BatchedSenseKernel::firing_ladder(
     entry.hi[i] = boundary + kGuardVolts;
   }
   entry.skew = skew;
-  entry.valid = true;
-  return entry;
+  slot = std::move(solved);
+  return *slot;
 }
 
 void BatchedSenseKernel::prewarm(DelayCode code, Picoseconds skew) {
@@ -175,7 +177,7 @@ std::size_t BatchedSenseKernel::adopt_ladders(const BatchedSenseKernel& other) {
   }
   std::size_t copied = 0;
   for (std::size_t c = 0; c < DelayCode::kCount; ++c) {
-    if (other.firing_[c].valid && !firing_[c].valid) {
+    if (other.firing_[c] && !firing_[c]) {
       firing_[c] = other.firing_[c];
       ++copied;
     }

@@ -48,6 +48,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/measurement.h"
@@ -102,13 +103,14 @@ class BatchedSenseKernel {
   void prewarm(DelayCode code, Picoseconds skew);
 
   // Adopts every per-code cache `other` has already solved — the firing
-  // compare ladders and the decode threshold ladders — when both kernels
-  // were built over value-identical arrays (the per-site engines of a scan
-  // grid all wrap the same calibrated array). The caches are pure functions
-  // of the array parameters, so an adopted table holds the exact doubles
-  // this kernel's own solve would have produced. Returns the number of
-  // per-code entries copied; 0 (and no state change) when any array
-  // parameter differs in any bit.
+  // compare ladders (shared, not copied: they are immutable) and the decode
+  // threshold ladders — when both kernels were built over value-identical
+  // arrays (the per-site engines of a scan grid all wrap the same
+  // calibrated array). The caches are pure functions of the array
+  // parameters, so an adopted table holds the exact doubles this kernel's
+  // own solve would have produced. Returns the number of per-code entries
+  // adopted; 0 (and no state change) when any array parameter differs in
+  // any bit.
   std::size_t adopt_ladders(const BatchedSenseKernel& other);
 
   // Batch telemetry: samples served by the compare path vs flagged back to
@@ -152,9 +154,9 @@ class BatchedSenseKernel {
   // Inverted compare ladder for one delay code: per-cell firing-threshold
   // voltages bracketed by a guard band (lo[i] < B_i < hi[i]). The bit is
   // taken from the hi compare; landing between the compares flags the
-  // sample for scalar fallback.
+  // sample for scalar fallback. Immutable once solved, so kernels that
+  // adopt it share one copy.
   struct FiringLadder {
-    bool valid = false;
     Picoseconds skew{0.0};
     std::vector<double> lo;
     std::vector<double> hi;
@@ -178,7 +180,7 @@ class BatchedSenseKernel {
   std::vector<double> c_total_pf_;   // per-cell c_load + c_intrinsic
   std::vector<double> t_setup_ps_;   // per-cell FF setup time
   std::array<CodeCache, DelayCode::kCount> codes_;
-  std::array<FiringLadder, DelayCode::kCount> firing_;
+  std::array<std::shared_ptr<const FiringLadder>, DelayCode::kCount> firing_;
   std::vector<std::uint32_t> word_scratch_;  // reused across measure_batch
   std::size_t ladder_solves_ = 0;
   std::uint64_t batch_vector_ = 0;

@@ -99,28 +99,20 @@ double FaultInjector::u01(std::uint64_t a, std::uint64_t b,
   return static_cast<double>(draw(a, b, c) >> 11) * 0x1.0p-53;
 }
 
-MeasureFaults FaultInjector::measure_faults(std::uint32_t site_id,
-                                            std::uint32_t sample,
-                                            std::uint32_t attempt,
-                                            std::size_t word_width) const {
+MeasureFaults FaultInjector::sample_faults(std::uint32_t site_id,
+                                           std::uint32_t sample,
+                                           std::size_t word_width) const {
   MeasureFaults f;
   const std::uint64_t site = site_id;
   // Coordinates: site-scoped lanes ignore sample/attempt (persistent
   // faults), sample-scoped lanes ignore attempt (a retry sees the same
-  // rail), attempt-scoped lanes re-roll on every retry.
+  // rail). The attempt-scoped lanes are rolled by attempt_faults.
   const std::uint64_t per_sample = (site << 32) | sample;
-  const std::uint64_t per_attempt =
-      per_sample ^ (static_cast<std::uint64_t>(attempt) << 48);
 
-  // --- stochastic storm ---------------------------------------------------
   if (storm_.p_stuck_site > 0.0 &&
       u01(site, 0, kLaneStuckGate) < storm_.p_stuck_site) {
     f.stuck_bit = clamp_bit(draw(site, 0, kLaneStuckBit), word_width);
     f.stuck_value = (draw(site, 0, kLaneStuckValue) & 1) != 0;
-  }
-  if (storm_.p_metastable > 0.0 &&
-      u01(per_attempt, 1, kLaneFlipGate) < storm_.p_metastable) {
-    f.flip_bit = clamp_bit(draw(per_attempt, 1, kLaneFlipBit), word_width);
   }
   if (storm_.p_code_drift > 0.0 &&
       u01(per_sample, 2, kLaneDriftGate) < storm_.p_code_drift) {
@@ -138,13 +130,31 @@ MeasureFaults FaultInjector::measure_faults(std::uint32_t site_id,
         static_cast<std::uint32_t>(draw(site, 4, kLaneDeadOnset) % horizon);
     f.dead = sample >= f.dead_onset;
   }
-  if (storm_.p_hung > 0.0 &&
-      u01(per_attempt, 5, kLaneHungGate) < storm_.p_hung) {
-    f.hung = true;
-  }
   if (storm_.p_ring_storm > 0.0 &&
       u01(per_sample, 6, kLaneRingGate) < storm_.p_ring_storm) {
     f.ring_stall_pushes = storm_.ring_storm_pushes;
+  }
+  return f;
+}
+
+MeasureFaults FaultInjector::attempt_faults(const MeasureFaults& sample_part,
+                                            std::uint32_t site_id,
+                                            std::uint32_t sample,
+                                            std::uint32_t attempt,
+                                            std::size_t word_width) const {
+  MeasureFaults f = sample_part;
+  const std::uint64_t per_attempt =
+      ((static_cast<std::uint64_t>(site_id) << 32) | sample) ^
+      (static_cast<std::uint64_t>(attempt) << 48);
+
+  // --- attempt-scoped storm lanes: re-rolled on every retry --------------
+  if (storm_.p_metastable > 0.0 &&
+      u01(per_attempt, 1, kLaneFlipGate) < storm_.p_metastable) {
+    f.flip_bit = clamp_bit(draw(per_attempt, 1, kLaneFlipBit), word_width);
+  }
+  if (storm_.p_hung > 0.0 &&
+      u01(per_attempt, 5, kLaneHungGate) < storm_.p_hung) {
+    f.hung = true;
   }
 
   // --- explicit schedule (applied over the storm) -------------------------
@@ -188,6 +198,14 @@ MeasureFaults FaultInjector::measure_faults(std::uint32_t site_id,
     }
   }
   return f;
+}
+
+MeasureFaults FaultInjector::measure_faults(std::uint32_t site_id,
+                                            std::uint32_t sample,
+                                            std::uint32_t attempt,
+                                            std::size_t word_width) const {
+  return attempt_faults(sample_faults(site_id, sample, word_width), site_id,
+                        sample, attempt, word_width);
 }
 
 void FaultInjector::append_events(const MeasureFaults& faults,

@@ -152,8 +152,24 @@ class FaultInjector {
 
   // The full fault decision for one measure attempt. Pure and thread-safe:
   // depends only on (seed, storm, schedule, site_id, sample, attempt).
-  // `word_width` bounds the bit indices of word-level faults.
+  // `word_width` bounds the bit indices of word-level faults. Equal to
+  // attempt_faults(sample_faults(site_id, sample, word_width), ...).
   [[nodiscard]] MeasureFaults measure_faults(std::uint32_t site_id,
+                                             std::uint32_t sample,
+                                             std::uint32_t attempt,
+                                             std::size_t word_width) const;
+
+  // The two halves of measure_faults. sample_faults rolls the storm lanes
+  // that do not depend on the attempt (stuck DS node, dead site: per site;
+  // code drift, rail droop, ring storm: per sample), so a caller that runs
+  // several attempts of one sample rolls them once. attempt_faults completes
+  // such a sample part for one attempt: the metastable-flip and hung lanes,
+  // then the explicit schedule over everything.
+  [[nodiscard]] MeasureFaults sample_faults(std::uint32_t site_id,
+                                            std::uint32_t sample,
+                                            std::size_t word_width) const;
+  [[nodiscard]] MeasureFaults attempt_faults(const MeasureFaults& sample_part,
+                                             std::uint32_t site_id,
                                              std::uint32_t sample,
                                              std::uint32_t attempt,
                                              std::size_t word_width) const;

@@ -16,9 +16,17 @@ FaultSession::~FaultSession() {
 }
 
 MeasureFaults FaultSession::roll(std::uint32_t sample, std::uint32_t attempt,
-                                 std::size_t word_width) const {
+                                 std::size_t word_width) {
   if (!injector_) return MeasureFaults{};
-  return injector_->measure_faults(site_id_, sample, attempt, word_width);
+  if (!sample_part_valid_ || sample_part_sample_ != sample ||
+      sample_part_width_ != word_width) {
+    sample_part_ = injector_->sample_faults(site_id_, sample, word_width);
+    sample_part_sample_ = sample;
+    sample_part_width_ = word_width;
+    sample_part_valid_ = true;
+  }
+  return injector_->attempt_faults(sample_part_, site_id_, sample, attempt,
+                                   word_width);
 }
 
 void FaultSession::arm(const MeasureFaults& faults) {

@@ -44,9 +44,11 @@ class FaultSession {
 
   [[nodiscard]] std::uint32_t site_id() const { return site_id_; }
 
-  // The injector's decision for one measure attempt of this site.
+  // The injector's decision for one measure attempt of this site. The
+  // sample part (FaultInjector::sample_faults) is rolled once per
+  // (sample, word_width) and reused across that sample's retries and votes.
   [[nodiscard]] MeasureFaults roll(std::uint32_t sample, std::uint32_t attempt,
-                                   std::size_t word_width) const;
+                                   std::size_t word_width);
 
   // Publishes `faults` to the engine context for the next measure: the word
   // hook corrupts with them and the rail offset sags by droop_volts.
@@ -58,6 +60,11 @@ class FaultSession {
   std::uint32_t site_id_ = 0;
   core::EngineContext* context_ = nullptr;
   MeasureFaults active_;
+  // The last sample part roll() computed, and the coordinate it is for.
+  MeasureFaults sample_part_;
+  std::uint32_t sample_part_sample_ = 0;
+  std::size_t sample_part_width_ = 0;
+  bool sample_part_valid_ = false;
 };
 
 }  // namespace psnt::fault

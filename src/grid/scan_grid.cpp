@@ -57,6 +57,26 @@ struct ScanGrid::Site {
   SiteResult row;
 };
 
+// Plain per-shard event tallies. The shard's worker adds to them while it
+// runs a site batch and flush_tally() moves them into the registry's atomic
+// counters once at the end of that batch, so the per-sample loops touch no
+// state shared with other workers.
+struct ScanGrid::Tally {
+  std::uint64_t produced = 0;
+  std::uint64_t stalls = 0;
+  std::uint64_t drops = 0;
+  // --- chaos loop only ---------------------------------------------------
+  std::uint64_t injected = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t recovered = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t quarantined = 0;
+  std::uint64_t vote_overrides = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t backoff_us = 0;
+  std::array<std::uint64_t, fault::kFaultKindCount> by_kind{};
+};
+
 struct ScanGrid::Shard {
   std::size_t index = 0;
   std::vector<Site*> sites;
@@ -66,6 +86,7 @@ struct ScanGrid::Shard {
   // The shard's ENC block (Fig. 6: one encoder per replicated sensor
   // system). Its running tallies are summed into grid.enc.* after the run.
   core::StreamingEncoder enc;
+  Tally tally;
   // Per-batch buffers, reused across batches. Touched only by the shard's
   // single worker thread. raws/words/codes/bins/records are parallel arrays
   // indexed by the batch's published samples.
@@ -76,97 +97,51 @@ struct ScanGrid::Shard {
   std::vector<core::EncodedWord> encoded;
   std::vector<serve::IngestRecord> records;
   std::vector<std::uint32_t> forced_pushes;  // chaos: ring-storm pushes
+  // Chaos vote scratch for one sample, reused across samples.
+  std::vector<core::RawSample> vote_raws;
+  std::vector<core::ThermoWord> vote_words;
   std::atomic<bool> done{false};
 
   Shard(std::size_t ring_capacity, core::BubblePolicy bubble_policy)
       : ring(ring_capacity), enc(bubble_policy) {}
 };
 
-// Telemetry instruments of the chaos path, resolved once at construction.
-struct ScanGrid::ChaosCounters {
-  explicit ChaosCounters(TelemetryRegistry& t)
-      : injected(t.counter("grid.fault.injected")),
-        retries(t.counter("grid.retries")),
-        recovered(t.counter("grid.samples_recovered")),
-        lost(t.counter("grid.samples_lost")),
-        quarantined(t.counter("grid.sites_quarantined")),
-        vote_overrides(t.counter("grid.vote_overrides")),
-        timeouts(t.counter("grid.measure_timeouts")),
-        backoff_us(t.counter("grid.backoff_us")) {
-    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
-      by_kind[k] = &t.counter(std::string("grid.fault.") +
-                              fault::to_string(static_cast<fault::FaultKind>(k)));
-    }
-  }
-
-  Counter& injected;
-  Counter& retries;
-  Counter& recovered;
-  Counter& lost;
-  Counter& quarantined;
-  Counter& vote_overrides;
-  Counter& timeouts;
-  Counter& backoff_us;
-  std::array<Counter*, fault::kFaultKindCount> by_kind{};
-};
-
 namespace {
 
 using RecordRing = SpscRing<serve::IngestRecord>;
 
-// Producer-side backpressure: block (lossless, stalls counted) or drop the
-// newest sample (lossy, drops counted). `produced` counts every attempt.
-// `forced_full_pushes` is the ring-overflow-storm hook: that many pushes are
-// treated as having hit a full ring before the real push happens — stalls
-// under kBlockProducer (lossless), a drop under kDropNewest. Returns whether
-// the ring accepted the record.
-bool push_with_backpressure(BackpressurePolicy policy, RecordRing& ring,
-                            const serve::IngestRecord& record, Counter& stalls,
-                            Counter& drops, Counter& produced,
-                            std::uint32_t forced_full_pushes) {
-  produced.increment();
-  if (policy == BackpressurePolicy::kBlockProducer) {
-    for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
-      stalls.increment();
-      std::this_thread::yield();
-    }
-    while (!ring.try_push(record)) {
-      stalls.increment();
-      std::this_thread::yield();
-    }
-    return true;
-  }
-  if (forced_full_pushes > 0 || !ring.try_push(record)) {
-    drops.increment();
-    return false;
-  }
-  return true;
-}
-
-// Span form for the batched capture path: one try_push_span call moves the
+// Producer-side backpressure for one batch: one try_push_span call moves the
 // whole batch through two atomics when the ring has room; the remainder (a
-// full ring) falls back to the same per-sample policy semantics as above —
-// block-and-yield with stalls counted, or drop with every lost sample
-// counted. Returns how many records the ring accepted: all `n`, or under
-// kDropNewest the prefix that fit.
+// full ring) either blocks — yield and retry, one stall counted per yield —
+// or, under kDropNewest, is dropped with every lost sample counted.
+// `produced` counts every sample offered. Returns how many records the ring
+// accepted: all `n`, or under kDropNewest the prefix that fit.
 std::size_t push_span_with_backpressure(BackpressurePolicy policy,
                                         RecordRing& ring,
                                         serve::IngestRecord* records,
-                                        std::size_t n, Counter& stalls,
-                                        Counter& drops, Counter& produced) {
-  produced.increment(n);
+                                        std::size_t n, std::uint64_t& stalls,
+                                        std::uint64_t& drops,
+                                        std::uint64_t& produced) {
+  produced += n;
   std::size_t done = ring.try_push_span(records, n);
   while (done < n) {
     if (policy == BackpressurePolicy::kBlockProducer) {
-      stalls.increment();
+      ++stalls;
       std::this_thread::yield();
       done += ring.try_push_span(records + done, n - done);
     } else {
-      drops.increment(n - done);
+      drops += n - done;
       break;
     }
   }
   return done;
+}
+
+// Adds `n` to `counter` unless there is nothing to add: most tallies of a
+// batch are zero, and a zero add would still be an atomic RMW on a line
+// every worker shares.
+void add_nonzero(Counter* counter, std::uint64_t n) {
+  if (n != 0) counter->increment(n);
 }
 
 }  // namespace
@@ -193,7 +168,6 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
                "the grid drain is a single writer; use a 1-shard store");
   }
   chaos_ = config_.injector != nullptr || config_.resilience.enabled();
-  if (chaos_) chaos_counters_ = std::make_unique<ChaosCounters>(telemetry_);
 
   // Resolve the hot-path instruments once: counter() takes a std::string
   // and these names overflow SSO, so looking them up per site batch was the
@@ -204,6 +178,21 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   hot_.sim_events = &telemetry_.counter("grid.sim_events");
   hot_.sim_allocs = &telemetry_.counter("grid.sim_allocs");
   hot_.structural_ns = &telemetry_.counter("grid.structural_ns");
+  if (chaos_) {
+    hot_.injected = &telemetry_.counter("grid.fault.injected");
+    hot_.retries = &telemetry_.counter("grid.retries");
+    hot_.recovered = &telemetry_.counter("grid.samples_recovered");
+    hot_.lost = &telemetry_.counter("grid.samples_lost");
+    hot_.quarantined = &telemetry_.counter("grid.sites_quarantined");
+    hot_.vote_overrides = &telemetry_.counter("grid.vote_overrides");
+    hot_.timeouts = &telemetry_.counter("grid.measure_timeouts");
+    hot_.backoff_us = &telemetry_.counter("grid.backoff_us");
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      hot_.by_kind[k] = &telemetry_.counter(
+          std::string("grid.fault.") +
+          fault::to_string(static_cast<fault::FaultKind>(k)));
+    }
+  }
 
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
@@ -233,19 +222,20 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // Cross-site firing-ladder sharing: all behavioral sites wrap the same
   // calibrated array, so the per-code ladder solve (a ~7-bisection pass per
   // kernel, ~10 us) would otherwise be repaid once per site inside run().
-  // Solve it once on site 0 for the configured code and adopt the tables
-  // everywhere else; share_sense_ladders fingerprints the array parameters
-  // and copies nothing if they differ, so this is amortization only, never a
-  // behavior change. Auto-ranged grids walk codes at runtime; their first
-  // step per code still solves lazily (and correctly) as before.
+  // Solve it once on site 0 for every code and adopt the tables everywhere
+  // else; share_sense_ladders fingerprints the array parameters and copies
+  // nothing if they differ, so this is amortization only, never a behavior
+  // change. All 8 codes, not just the configured one: auto-range steps and
+  // code-drift votes sense on other codes, and every single-sample sense
+  // goes through the ladder first.
   if (config_.fidelity == SiteFidelity::kBehavioral &&
       !config_.engine_factory && sites_.size() > 1) {
     core::IMeasureEngine& first = *sites_.front()->engine;
-    if (core::prewarm_sense_ladders(first,
-                                    first.context().current_code())) {
-      for (std::size_t i = 1; i < sites_.size(); ++i) {
-        (void)core::share_sense_ladders(*sites_[i]->engine, first);
-      }
+    for (std::uint8_t c = 0; c < core::DelayCode::kCount; ++c) {
+      (void)core::prewarm_sense_ladders(first, core::DelayCode{c});
+    }
+    for (std::size_t i = 1; i < sites_.size(); ++i) {
+      (void)core::share_sense_ladders(*sites_[i]->engine, first);
     }
   }
 
@@ -371,10 +361,12 @@ void ScanGrid::capture_site_batch(Site& site, std::size_t first,
   }
   // Under kDropNewest the ring may take only a prefix; the dropped tail
   // never reaches the matrix and stays invalid.
+  Tally& tally = shard.tally;
   const std::size_t accepted = push_span_with_backpressure(
-      config_.backpressure, shard.ring, shard.records.data(), n,
-      *hot_.stalls, *hot_.drops, *hot_.produced);
+      config_.backpressure, shard.ring, shard.records.data(), n, tally.stalls,
+      tally.drops, tally.produced);
   finish_batch(site, shard, accepted, first + count);
+  flush_tally(tally);
 }
 
 void ScanGrid::decode_batch(Shard& shard) const {
@@ -418,20 +410,38 @@ void ScanGrid::finish_batch(Site& site, Shard& shard, std::size_t n,
   samples.resize(batch_end);
 }
 
+void ScanGrid::flush_tally(Tally& tally) const {
+  add_nonzero(hot_.produced, tally.produced);
+  add_nonzero(hot_.stalls, tally.stalls);
+  add_nonzero(hot_.drops, tally.drops);
+  if (chaos_) {
+    add_nonzero(hot_.injected, tally.injected);
+    add_nonzero(hot_.retries, tally.retries);
+    add_nonzero(hot_.recovered, tally.recovered);
+    add_nonzero(hot_.lost, tally.lost);
+    add_nonzero(hot_.quarantined, tally.quarantined);
+    add_nonzero(hot_.vote_overrides, tally.vote_overrides);
+    add_nonzero(hot_.timeouts, tally.timeouts);
+    add_nonzero(hot_.backoff_us, tally.backoff_us);
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      add_nonzero(hot_.by_kind[k], tally.by_kind[k]);
+    }
+  }
+  tally = Tally{};
+}
+
 void ScanGrid::record_fault_events(Site& site,
                                    const fault::MeasureFaults& faults,
                                    std::size_t sample, std::uint32_t attempt,
-                                   ChaosCounters& counters) {
+                                   Tally& tally) {
   if (!faults.any()) return;
   const std::size_t before = site.trace.size();
   fault::FaultInjector::append_events(faults, site.id,
                                       static_cast<std::uint32_t>(sample),
                                       attempt, site.trace);
-  const std::size_t added = site.trace.size() - before;
-  counters.injected.increment(added);
+  tally.injected += site.trace.size() - before;
   for (std::size_t i = before; i < site.trace.size(); ++i) {
-    counters.by_kind[static_cast<std::size_t>(site.trace[i].kind)]
-        ->increment();
+    ++tally.by_kind[static_cast<std::size_t>(site.trace[i].kind)];
   }
 }
 
@@ -446,21 +456,21 @@ core::DelayCode drifted_code(core::DelayCode code, std::int32_t delta) {
 // Deterministic-outcome backoff: the sleep affects wall time only, never
 // which faults strike next (those re-roll off the attempt index).
 void apply_backoff(const ResiliencePolicy& policy, std::size_t attempt,
-                   Counter& backoff_us_counter) {
+                   std::uint64_t& backoff_us) {
   const std::uint32_t us = bounded_backoff_us(policy, attempt);
   if (us == 0) return;
-  backoff_us_counter.increment(us);
+  backoff_us += us;
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 }  // namespace
 
-bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
+bool ScanGrid::chaos_measure(Site& site, std::size_t sample, Shard& shard,
                              core::RawSample& out,
-                             std::uint32_t& forced_stall_pushes,
-                             ChaosCounters& counters) {
+                             std::uint32_t& forced_stall_pushes) {
   const ResiliencePolicy& policy = config_.resilience;
   core::IMeasureEngine& engine = *site.engine;
+  Tally& tally = shard.tally;
   // Voting re-measures the sample; engines that cannot (the live netlist)
   // run a single vote. Retrying a measure re-measures either way, exactly
   // as silicon would.
@@ -469,9 +479,18 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
   const std::size_t attempts_per_vote = policy.max_retries + 1;
   const std::size_t width = engine.word_bits();
 
-  std::vector<core::RawSample> vote_raws;
-  vote_raws.reserve(votes);
+  std::vector<core::RawSample>& vote_raws = shard.vote_raws;
+  vote_raws.clear();
   bool needed_retry = false;
+  // A failed attempt is retried, after the backoff, unless it was the
+  // vote's last.
+  const auto retry_after = [&](std::size_t a) {
+    if (a + 1 >= attempts_per_vote) return;
+    ++site.retries;
+    ++tally.retries;
+    needed_retry = true;
+    apply_backoff(policy, a + 1, tally.backoff_us);
+  };
 
   for (std::size_t v = 0; v < votes; ++v) {
     for (std::size_t a = 0; a < attempts_per_vote; ++a) {
@@ -485,15 +504,10 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
       // Code drift is not injectable when the engine's tap is hard-selected
       // at construction; drop the lane before it reaches the trace.
       if (!engine.supports_code_trim()) f.code_delta = 0;
-      record_fault_events(site, f, sample, attempt, counters);
+      record_fault_events(site, f, sample, attempt, tally);
       if (f.dead || f.hung) {
-        if (f.hung) counters.timeouts.increment();
-        if (a + 1 < attempts_per_vote) {
-          ++site.retries;
-          counters.retries.increment();
-          apply_backoff(policy, a + 1, counters.backoff_us);
-          needed_retry = true;
-        }
+        if (f.hung) ++tally.timeouts;
+        retry_after(a);
         continue;
       }
       core::MeasureRequest req;
@@ -515,14 +529,9 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
         fault::MeasureFaults tf;
         tf.hung = true;
         tf.hung_detail = static_cast<std::int32_t>(err.status());
-        record_fault_events(site, tf, sample, attempt, counters);
-        counters.timeouts.increment();
-        if (a + 1 < attempts_per_vote) {
-          ++site.retries;
-          counters.retries.increment();
-          apply_backoff(policy, a + 1, counters.backoff_us);
-          needed_retry = true;
-        }
+        record_fault_events(site, tf, sample, attempt, tally);
+        ++tally.timeouts;
+        retry_after(a);
         continue;
       }
       if (site.fault_session) site.fault_session->disarm();
@@ -540,8 +549,8 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
     // Lost votes shrink the panel; keep it odd so majority stays defined.
     std::size_t panel = vote_raws.size();
     if (panel % 2 == 0) --panel;
-    std::vector<core::ThermoWord> words;
-    words.reserve(panel);
+    std::vector<core::ThermoWord>& words = shard.vote_words;
+    words.clear();
     for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_raws[i].word);
     const core::ThermoWord winner = majority_word(words);
     bool overridden = false;
@@ -564,20 +573,20 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
     }
     if (overridden) {
       ++site.vote_overrides;
-      counters.vote_overrides.increment();
+      ++tally.vote_overrides;
     }
   }
   if (needed_retry) {
     ++site.recovered;
-    counters.recovered.increment();
+    ++tally.recovered;
   }
   return true;
 }
 
 void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
                                         std::size_t count, Shard& shard) {
-  ChaosCounters& counters = *chaos_counters_;
   const ResiliencePolicy& policy = config_.resilience;
+  Tally& tally = shard.tally;
   ensure_engine(site);
 
   shard.raws.clear();
@@ -586,22 +595,21 @@ void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
   for (std::size_t k = first; k < first + count; ++k) {
     if (site.quarantined) {
       ++site.lost;
-      counters.lost.increment();
+      ++tally.lost;
       continue;
     }
     const double t0 = now_seconds();
     core::RawSample raw;
     std::uint32_t forced_stall_pushes = 0;
-    const bool ok = chaos_measure(site, k, raw, forced_stall_pushes, counters);
-    if (!ok) {
+    if (!chaos_measure(site, k, shard, raw, forced_stall_pushes)) {
       ++site.lost;
-      counters.lost.increment();
+      ++tally.lost;
       ++site.fail_streak;
       if (policy.quarantine_after > 0 &&
           site.fail_streak >= policy.quarantine_after) {
         site.quarantined = true;
         site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
-        counters.quarantined.increment();
+        ++tally.quarantined;
       }
       continue;
     }
@@ -614,23 +622,41 @@ void ScanGrid::capture_site_batch_chaos(Site& site, std::size_t first,
   }
 
   // The batch's published samples through the same decode as the plain
-  // loop, then one push each (the ring-overflow storm acts per sample).
-  // Accepted samples are compacted to the front for finish_batch.
+  // loop, then one span push. A ring-overflow storm makes a struck sample's
+  // push meet a full ring `forced_pushes` times first: under kBlockProducer
+  // those are stalls, counted and yielded here before the push (lossless);
+  // under kDropNewest the struck sample is dropped, so it is compacted out of
+  // the batch before the push. Accepted samples end up at the front for
+  // finish_batch.
   decode_batch(shard);
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < shard.raws.size(); ++i) {
+  const std::size_t n = shard.raws.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     fill_record(site, shard, i, shard.records[i].latency_us);
-    if (!push_with_backpressure(config_.backpressure, shard.ring,
-                                shard.records[i], *hot_.stalls, *hot_.drops,
-                                *hot_.produced, shard.forced_pushes[i])) {
+    const std::uint32_t forced = shard.forced_pushes[i];
+    if (config_.backpressure == BackpressurePolicy::kBlockProducer) {
+      for (std::uint32_t j = 0; j < forced; ++j) {
+        ++tally.stalls;
+        std::this_thread::yield();
+      }
+    } else if (forced > 0) {
+      ++tally.produced;
+      ++tally.drops;
       continue;
     }
-    shard.raws[accepted] = shard.raws[i];
-    shard.words[accepted] = shard.words[i];
-    shard.bins[accepted] = shard.bins[i];
-    ++accepted;
+    if (kept != i) {
+      shard.raws[kept] = shard.raws[i];
+      shard.words[kept] = shard.words[i];
+      shard.bins[kept] = shard.bins[i];
+      shard.records[kept] = shard.records[i];
+    }
+    ++kept;
   }
+  const std::size_t accepted = push_span_with_backpressure(
+      config_.backpressure, shard.ring, shard.records.data(), kept,
+      tally.stalls, tally.drops, tally.produced);
   finish_batch(site, shard, accepted, first + count);
+  flush_tally(tally);
 }
 
 void ScanGrid::worker_run_shard(Shard& shard) {

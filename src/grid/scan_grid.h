@@ -24,9 +24,12 @@
 //   IMeasureEngine::measure_raw's default, which drops the bin of a full
 //   measure(). Every loop then hands the batch's raw words to the same
 //   worker-side steps: DecodeLadder::decode_span against the grid's
-//   immutable ladder, one ring push per batch (per sample under chaos),
-//   then, for the samples the ring accepted, StreamingEncoder::encode_span
-//   (the shard's ENC) and assembly into the site's row.
+//   immutable ladder, one ring push per batch (push_span_with_backpressure,
+//   chaos batches included), then, for the samples the ring accepted,
+//   StreamingEncoder::encode_span (the shard's ENC) and assembly into the
+//   site's row. Workers count events in shard-local tallies and flush them
+//   into the TelemetryRegistry once per site batch, so counters read
+//   mid-run lag by at most one batch per worker.
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard is
@@ -69,7 +72,8 @@
 //   measure through the chaos path: deterministic sensor-level faults reach
 //   the engine through one fault::FaultSession per site (the context word
 //   hook + rail offset — the single hook surface), plus forced-full pushes
-//   in the ring path, and the ResiliencePolicy decides
+//   applied to the batch before its span push (counted stalls under
+//   kBlockProducer, drops under kDropNewest), and the ResiliencePolicy decides
 //   recovery — bounded-backoff retry, majority vote, and site quarantine.
 //   Recovery decides on fault flags, words and failure streaks only, so the
 //   chaos loop runs its raw words through the same worker-side decode as
@@ -80,6 +84,7 @@
 //   the default policy the plain path runs and words stay bit-identical.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -271,13 +276,13 @@ class ScanGrid {
  private:
   struct Site;
   struct Shard;
-  struct ChaosCounters;
+  struct Tally;
 
   // Hot-path telemetry instruments, resolved once at construction. Lookup
   // takes the name as std::string; the grid.* names are long enough to
   // defeat SSO, so per-batch lookups were the residual allocations (~0.4 per
-  // measure before caching). Workers bump them concurrently; every one is
-  // an atomic counter.
+  // measure before caching). Every one is an atomic counter; workers add
+  // their shard's Tally to them once per site batch (flush_tally).
   struct HotInstruments {
     Counter* stalls = nullptr;
     Counter* drops = nullptr;
@@ -285,6 +290,17 @@ class ScanGrid {
     Counter* sim_events = nullptr;
     Counter* sim_allocs = nullptr;
     Counter* structural_ns = nullptr;
+    // The resilience counters: registered (and set) only when the chaos
+    // loop runs.
+    Counter* injected = nullptr;
+    Counter* retries = nullptr;
+    Counter* recovered = nullptr;
+    Counter* lost = nullptr;
+    Counter* quarantined = nullptr;
+    Counter* vote_overrides = nullptr;
+    Counter* timeouts = nullptr;
+    Counter* backoff_us = nullptr;
+    std::array<Counter*, fault::kFaultKindCount> by_kind{};
   };
 
   void worker_run_shard(Shard& shard);
@@ -311,6 +327,9 @@ class ScanGrid {
   // (which then ends at `batch_end`).
   void finish_batch(Site& site, Shard& shard, std::size_t n,
                     std::size_t batch_end);
+  // Adds a shard's tallies to the registry counters and zeroes them; called
+  // once at the end of every site batch.
+  void flush_tally(Tally& tally) const;
   // Fault/resilience path: per-sample retry, vote, quarantine. Selected for
   // the whole run when an injector is attached or the policy is non-default;
   // the plain path above stays untouched (and bit-identical) otherwise.
@@ -319,13 +338,15 @@ class ScanGrid {
   // One published sample through the engine handle, backend-agnostic: up to
   // `votes` successful raw captures (voting only when the engine supports
   // it), each with bounded retry; the published word is their bitwise
-  // majority. Returns false when every attempt of every vote failed.
-  bool chaos_measure(Site& site, std::size_t sample, core::RawSample& out,
-                     std::uint32_t& forced_stall_pushes,
-                     ChaosCounters& counters);
-  void record_fault_events(Site& site, const fault::MeasureFaults& faults,
-                           std::size_t sample, std::uint32_t attempt,
-                           ChaosCounters& counters);
+  // majority. Returns false when every attempt of every vote failed. Counts
+  // into shard.tally and votes in the shard's scratch.
+  bool chaos_measure(Site& site, std::size_t sample, Shard& shard,
+                     core::RawSample& out,
+                     std::uint32_t& forced_stall_pushes);
+  static void record_fault_events(Site& site,
+                                  const fault::MeasureFaults& faults,
+                                  std::size_t sample, std::uint32_t attempt,
+                                  Tally& tally);
   // The store lane: drains every ring into the attached store until all
   // shards are done.
   void aggregate();
@@ -341,7 +362,6 @@ class ScanGrid {
   core::DecodeLadder ladder_;
   HotInstruments hot_;
   bool chaos_ = false;  // injector attached or non-default resilience
-  std::unique_ptr<ChaosCounters> chaos_counters_;  // set when chaos_
   bool ran_ = false;
 };
 

@@ -75,6 +75,30 @@ std::vector<ThermoWord> batch_resolved(const SensorArray& arr,
   return words;
 }
 
+// Supplies parked on every firing threshold of `arr` at `skew` (±1e-12,
+// ±1e-9, ±1e-6 V, exactly on it, ±1 ulp) and around the fast_path()
+// saturation guard edge Vt + 1e-9.
+std::vector<double> straddlers(const SensorArray& arr, Picoseconds skew) {
+  std::vector<double> v;
+  for (const Volt& thr : arr.sorted_thresholds(skew)) {
+    const double b = thr.value();
+    for (const double eps : {1e-12, 1e-9, 1e-6}) {
+      v.push_back(b - eps);
+      v.push_back(b + eps);
+    }
+    v.push_back(b);
+    v.push_back(std::nextafter(b, 0.0));
+    v.push_back(std::nextafter(b, 2.0));
+  }
+  const double vt =
+      arr.cells().front().inverter().params().v_threshold.value();
+  for (const double eps : {0.0, 1e-12, 1e-9, 2e-9, 1e-6}) {
+    v.push_back(vt + 1e-9 - eps);
+    v.push_back(vt + 1e-9 + eps);
+  }
+  return v;
+}
+
 TEST(BatchSense, RandomSuppliesBitIdenticalAcrossAllCodes) {
   const auto arr = make_uniform_array();
   BatchedSenseKernel kernel{arr};
@@ -110,23 +134,7 @@ TEST(BatchSense, ThresholdStraddlersBitIdenticalOrFlagged) {
   for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
     const DelayCode code{c};
     const auto skew = skew_for(code);
-    std::vector<double> v;
-    for (const Volt& thr : arr.sorted_thresholds(skew)) {
-      const double b = thr.value();
-      for (const double eps : {1e-12, 1e-9, 1e-6}) {
-        v.push_back(b - eps);
-        v.push_back(b + eps);
-      }
-      v.push_back(b);
-      v.push_back(std::nextafter(b, 0.0));
-      v.push_back(std::nextafter(b, 2.0));
-    }
-    // fast_path() saturation boundary: Vt + 1e-9 is the exact guard edge.
-    const double vt = 0.32;  // default AlphaPowerParams threshold
-    for (const double eps : {0.0, 1e-12, 1e-9, 2e-9, 1e-6}) {
-      v.push_back(vt + 1e-9 - eps);
-      v.push_back(vt + 1e-9 + eps);
-    }
+    const std::vector<double> v = straddlers(arr, skew);
     const auto words = batch_resolved(arr, kernel, v, code, skew);
     for (std::size_t k = 0; k < v.size(); ++k) {
       const ThermoWord ref = scalar_reference(arr, kernel, v[k], skew);
@@ -327,6 +335,86 @@ TEST(BatchEngine, RawBatchMatchesRawLoopAcrossCodesAndTargets) {
       }
       EXPECT_EQ(batch_engine.fsm().completed_measures(), serial_engine.fsm().completed_measures())
           << "batch must retire the same FSM transaction count";
+    }
+  }
+}
+
+// Single-sample senses go ladder-first; the oracle stays the scalar
+// selection (kernel fast path or SensorArray::measure). Every word of
+// measure_raw and measure — all 8 codes, both targets, seeded supplies and
+// threshold straddlers — must equal scalar_reference on the v_eff the
+// engine senses, first on bare rails, then through a fault-hooked handle
+// with a word hook and a rail offset armed.
+TEST(BatchEngine, SingleSampleSenseMatchesScalarReference) {
+  const auto& model = calib::calibrated().model;
+  const BehavioralEngine proto = make_engine();
+  const double v_nominal = proto.config().v_nominal.value();
+  const BatchedSenseKernel high_ref{proto.high_sense()};
+  const BatchedSenseKernel low_ref{proto.low_sense()};
+
+  // One rail per side whose level the loop sets before every measure.
+  double level = 1.0;
+  const analog::CallbackRail rail{
+      [&level](Picoseconds) { return Volt{level}; }};
+  const analog::ConstantRail nominal{Volt{v_nominal}};
+  // A stateless word hook, so the reference can apply it too.
+  const auto hook = [](ThermoWord& w) {
+    w.set_bit(w.count_ones() % w.width(), !w.bit(w.count_ones() % w.width()));
+  };
+  constexpr double kOffset = -0.0125;
+
+  std::mt19937_64 rng(19);
+  std::uniform_real_distribution<double> uni(0.0, 1.8);
+  for (const bool hooked : {false, true}) {
+    for (const SenseTarget target : {SenseTarget::kVdd, SenseTarget::kGnd}) {
+      const bool vdd = target == SenseTarget::kVdd;
+      // VDD sensing reads `rail` as vdd over ideal ground; GND sensing reads
+      // it as the ground rail under a nominal vdd.
+      const analog::RailPair rails =
+          vdd ? analog::RailPair{&rail, nullptr}
+              : analog::RailPair{&nominal, &rail};
+      EngineSiteOptions options;
+      options.fault_hooks = hooked;
+      auto raw_engine = make_behavioral_engine(
+          calib::make_paper_engine(model), rails, options);
+      auto full_engine = make_behavioral_engine(
+          calib::make_paper_engine(model), rails, options);
+      if (hooked) {
+        for (IMeasureEngine* e : {raw_engine.get(), full_engine.get()}) {
+          e->context().set_rail_offset(kOffset);
+          e->context().set_word_hook(hook);
+        }
+      }
+      const SensorArray& arr = vdd ? proto.high_sense() : proto.low_sense();
+      const BatchedSenseKernel& kernel = vdd ? high_ref : low_ref;
+
+      for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
+        const DelayCode code{c};
+        const Picoseconds skew = proto.pulse_generator().skew(code);
+        // Target v_eff values; the rail level that yields each one.
+        std::vector<double> targets = straddlers(arr, skew);
+        for (int i = 0; i < 48; ++i) targets.push_back(uni(rng));
+        for (std::size_t k = 0; k < targets.size(); ++k) {
+          const double offset = hooked && vdd ? kOffset : 0.0;
+          level = vdd ? targets[k] - offset : v_nominal - targets[k];
+          // The v_eff the engine senses, with the engine's own arithmetic:
+          // the offset view adds to vdd, LOW-SENSE subtracts ground.
+          const double v_eff =
+              vdd ? level + offset
+                  : (Volt{v_nominal} - Volt{level}).value();
+          ThermoWord ref = scalar_reference(arr, kernel, v_eff, skew);
+          if (hooked) hook(ref);
+
+          MeasureRequest req = request_at(1000.0 + 7500.0 * double(k), target);
+          req.code = code;
+          const std::string where =
+              std::string(hooked ? "hooked " : "") + (vdd ? "vdd" : "gnd") +
+              " code=" + std::to_string(int(c)) +
+              " v_eff=" + std::to_string(v_eff) + " k=" + std::to_string(k);
+          ASSERT_EQ(raw_engine->measure_raw(req).word, ref) << where;
+          ASSERT_EQ(full_engine->measure(req).word, ref) << where;
+        }
+      }
     }
   }
 }

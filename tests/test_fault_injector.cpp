@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "core/measure_engine.h"
 #include "fault/fault_injector.h"
+#include "fault/fault_session.h"
 #include "grid/resilience.h"
+#include "stats/rng.h"
 
 namespace psnt::fault {
 namespace {
@@ -164,6 +168,61 @@ TEST(FaultInjector, ScheduledFaultsApplyInsideTheirWindowOnly) {
 
   EXPECT_THROW(inj.schedule({.site_id = 0, .first_sample = 5, .last_sample = 2}),
                std::logic_error);
+}
+
+void expect_same_faults(const MeasureFaults& a, const MeasureFaults& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.dead, b.dead) << where;
+  EXPECT_EQ(a.hung, b.hung) << where;
+  EXPECT_EQ(a.hung_detail, b.hung_detail) << where;
+  EXPECT_EQ(a.code_delta, b.code_delta) << where;
+  EXPECT_EQ(a.droop_volts, b.droop_volts) << where;
+  EXPECT_EQ(a.stuck_bit, b.stuck_bit) << where;
+  EXPECT_EQ(a.stuck_value, b.stuck_value) << where;
+  EXPECT_EQ(a.flip_bit, b.flip_bit) << where;
+  EXPECT_EQ(a.ring_stall_pushes, b.ring_stall_pushes) << where;
+  EXPECT_EQ(a.dead_onset, b.dead_onset) << where;
+}
+
+// FaultSession::roll reuses one sample part across a sample's attempts; it
+// must answer exactly what measure_faults answers, for every (sample,
+// attempt), whatever order the session is asked in — including revisits of
+// an earlier sample and a width change — with every storm lane live and
+// scheduled faults of every kind layered over the storm.
+TEST(FaultInjector, SessionRollEqualsMeasureFaultsUnderStormAndSchedule) {
+  stats::Xoshiro256 rng(20261020);
+  for (int trial = 0; trial < 6; ++trial) {
+    auto inj = std::make_shared<FaultInjector>(rng.next(), full_storm());
+    const std::uint32_t site = static_cast<std::uint32_t>(rng.uniform_index(4));
+    for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+      const auto first = static_cast<std::uint32_t>(rng.uniform_index(24));
+      const auto span = static_cast<std::uint32_t>(rng.uniform_index(8));
+      inj->schedule({.site_id = site,
+                     .first_sample = first,
+                     .last_sample = first + span,
+                     .kind = static_cast<FaultKind>(k),
+                     .detail = static_cast<std::int32_t>(rng.uniform_index(9)),
+                     .stuck_value = rng.uniform_index(2) == 1,
+                     .droop_volts = Volt{0.01 * static_cast<double>(
+                                                    rng.uniform_index(3))}});
+    }
+    core::EngineContext context;
+    FaultSession session(inj, site, context);
+    for (int query = 0; query < 400; ++query) {
+      // Mostly walk forward like the grid's chaos loop, sometimes jump back.
+      const auto sample = static_cast<std::uint32_t>(rng.uniform_index(32));
+      const auto width = rng.uniform_index(8) == 0 ? std::size_t{5}
+                                                   : std::size_t{7};
+      const auto attempts = 1 + rng.uniform_index(21);
+      for (std::uint32_t a = 0; a < attempts; ++a) {
+        expect_same_faults(session.roll(sample, a, width),
+                           inj->measure_faults(site, sample, a, width),
+                           "trial " + std::to_string(trial) + " sample " +
+                               std::to_string(sample) + " attempt " +
+                               std::to_string(a));
+      }
+    }
+  }
 }
 
 TEST(FaultInjector, ApplyWordForcesStuckThenFlips) {
