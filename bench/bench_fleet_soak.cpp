@@ -4,8 +4,9 @@
 // The distributed deployment in miniature: each round forks a 3-worker fleet
 // (plus one pre-forked spare), shards the floorplan, streams framed RawSample
 // spans over socketpairs into the aggregator drain, and SIGKILLs one primary
-// a few ms in so the restart path is exercised continuously — the benched
-// case IS the failure case. Rounds repeat until the soak window closes.
+// once the aggregator has parsed its kKillAfterSpans-th span (of 252) so
+// the restart path is exercised in every round — the benched case IS the
+// failure case. Rounds repeat until the soak window closes.
 // Reported into BENCH_fleet.json and gated in CI:
 //
 //   samples_per_sec              — aggregate decoded throughput, fork and
@@ -38,6 +39,8 @@ namespace {
 constexpr std::size_t kWorkers = 3;
 constexpr std::size_t kSites = 12;
 constexpr std::size_t kSamplesPerSite = 4000;
+// A primary's assignment is 4 sites × 4000 samples: 4 × 63 spans of 64.
+constexpr std::uint64_t kKillAfterSpans = 64;
 
 double soak_seconds() {
   if (const char* env = std::getenv("PSNT_SOAK_SECONDS")) {
@@ -99,10 +102,9 @@ void report() {
                            "workers_restarted", "rss_mb"});
   while (now_seconds() - t_start < seconds || rounds == 0) {
     fleet::FleetCoordinator coordinator(config);
-    // Kill a rotating primary a few ms in: most rounds exercise the spare
-    // restart; rounds where the worker already finished exercise the
-    // benign kill-after-done path.
-    coordinator.schedule_kill(rounds % kWorkers, /*after_ms=*/5);
+    // Kill a rotating primary after its kKillAfterSpans-th span: every
+    // round exercises the spare restart.
+    coordinator.schedule_kill(rounds % kWorkers, kKillAfterSpans);
     const double round_t0 = now_seconds();
     const auto result = coordinator.run();
     const double round_dt = now_seconds() - round_t0;
@@ -158,8 +160,8 @@ void report() {
   bench::print_table(table);
   bench::note("timeline (per-round throughput + restarts): "
               "fleet_soak_timeline.csv");
-  bench::note("every round kills a primary worker ~5 ms in; the spare "
-              "re-runs its assignment bit-identically");
+  bench::note("every round kills a primary worker after its 64th span; "
+              "the spare re-runs its assignment bit-identically");
 
   bench::JsonReport json{"BENCH_fleet.json"};
   json.set("fleet_soak", "samples_per_sec", samples_per_sec);

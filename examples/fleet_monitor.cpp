@@ -3,8 +3,9 @@
 // The distributed deployment end to end: a FleetCoordinator forks three
 // worker processes plus one standby spare, shards a 12-site floorplan across
 // them, and streams framed RawSample spans over the versioned wire format
-// into two aggregator threads feeding a serve::TelemetryStore. A few
-// milliseconds in, worker 1 is SIGKILLed — the spare re-runs its whole
+// into two aggregator threads feeding a serve::TelemetryStore. Once the
+// aggregator has parsed worker 1's 20th span (of 128), worker 1 is
+// SIGKILLed — the spare re-runs its whole
 // assignment, and because a site's capture sequence is a pure function of
 // (seed, site, sample), the restarted shard overwrites any already-delivered
 // slots with bit-identical values.
@@ -46,7 +47,7 @@ int main() {
   const auto reference = fleet::FleetCoordinator::run_in_process(config);
 
   fleet::FleetCoordinator coordinator(config);
-  coordinator.schedule_kill(/*worker=*/1, /*after_ms=*/5);
+  coordinator.schedule_kill(/*worker=*/1, /*after_spans=*/20);
   const auto result = coordinator.run();
 
   std::printf("\n  samples      %llu valid / %llu expected (%llu lost)\n",

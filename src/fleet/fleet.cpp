@@ -4,13 +4,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <thread>
 
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
-#include "grid/spsc_ring.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "serve/store.h"
@@ -31,74 +32,72 @@ std::int64_t elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
 
 // --- worker (child-process) side ------------------------------------------
 
-// Captures one assignment and streams it out: capture thread → SpscRing →
-// framed spans in a BufferedWriter with explicit flush when the ring idles.
+// Captures one assignment and streams it out on K capture-and-frame threads
+// (FleetCoordinator::capture_threads). Thread t owns sites t, t+K, ... of
+// the assignment: it captures a whole site with capture_site, frames it into
+// span_samples spans in its own byte buffer, and sends that buffer under the
+// connection mutex whenever it reaches flush_threshold bytes and at the end
+// of the site. Frames never interleave on the socket, and each site's spans
+// leave in capture order.
 void run_worker_assignment(const FleetConfig& config,
                            const std::vector<std::uint32_t>& sites,
                            const net::AssignPayload& assign,
-                           const net::Fd& conn, std::uint32_t& seq) {
-  grid::SpscRing<core::RawSample> ring(config.ring_capacity);
-  std::atomic<bool> capture_done{false};
-
-  std::thread producer([&] {
-    std::vector<core::RawSample> scratch;
-    for (const std::uint32_t site : sites) {
-      scratch.clear();
-      FleetCoordinator::capture_site(config, site, assign.first_sample,
-                                     assign.sample_count, scratch);
-      std::size_t pushed = 0;
-      while (pushed < scratch.size()) {
-        const std::size_t n = ring.try_push_span(scratch.data() + pushed,
-                                                 scratch.size() - pushed);
-        if (n == 0) {
-          std::this_thread::yield();  // kBlockProducer: lossless backpressure
-          continue;
-        }
-        pushed += n;
+                           const net::Fd& conn,
+                           std::atomic<std::uint32_t>& seq) {
+  std::mutex send_mutex;
+  // The first failed send (dead coordinator) latches and stops every
+  // thread's sends and captures.
+  std::atomic<bool> send_failed{false};
+  const auto send = [&](std::vector<std::uint8_t>& bytes) {
+    if (!bytes.empty() && !send_failed.load(std::memory_order_relaxed)) {
+      const std::lock_guard<std::mutex> lock(send_mutex);
+      if (net::send_all(conn, bytes.data(), bytes.size(),
+                        config.io_deadline_ms) != net::IoStatus::kOk) {
+        send_failed.store(true, std::memory_order_relaxed);
       }
     }
-    capture_done.store(true, std::memory_order_release);
-  });
+    bytes.clear();
+  };
 
-  net::BufferedWriter writer(conn, config.flush_threshold,
-                             config.io_deadline_ms);
-  std::vector<core::RawSample> span(config.span_samples);
-  std::uint64_t produced = 0;
-  for (;;) {
-    const std::size_t n = ring.try_pop_span(span.data(), span.size());
-    if (n == 0) {
-      // Ring idle: everything batched so far goes out NOW — the explicit
-      // flush that bounds worker-side latency when capture is the
-      // bottleneck.
-      (void)writer.flush();
-      if (capture_done.load(std::memory_order_acquire) && ring.empty()) break;
-      std::this_thread::yield();
-      continue;
-    }
-    produced += n;
-    // A latched writer failure (dead coordinator) stops sends but not the
-    // ring drain: the producer must never block on a full ring forever.
-    if (writer.status() == net::IoStatus::kOk) {
-      net::SpanHeader header;
-      header.worker = assign.worker;
-      header.seq = seq++;
-      header.send_ns = net::monotonic_ns();
-      net::FrameWriter::append_sample_span(writer.buffer(), header,
-                                           span.data(), n);
-      if (writer.buffer().size() >= config.flush_threshold) {
-        (void)writer.flush();
+  const std::size_t threads =
+      FleetCoordinator::capture_threads(config, sites.size());
+  std::vector<std::uint64_t> produced(threads, 0);
+  const auto capture_and_frame = [&](std::size_t t) {
+    std::vector<core::RawSample> samples;
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = t; i < sites.size(); i += threads) {
+      if (send_failed.load(std::memory_order_relaxed)) return;
+      samples.clear();
+      FleetCoordinator::capture_site(config, sites[i], assign.first_sample,
+                                     assign.sample_count, samples);
+      produced[t] += samples.size();
+      for (std::size_t k = 0; k < samples.size(); k += config.span_samples) {
+        net::SpanHeader header;
+        header.worker = assign.worker;
+        header.seq = seq.fetch_add(1, std::memory_order_relaxed);
+        header.send_ns = net::monotonic_ns();
+        net::FrameWriter::append_sample_span(
+            bytes, header, samples.data() + k,
+            std::min(config.span_samples, samples.size() - k));
+        if (bytes.size() >= config.flush_threshold) send(bytes);
       }
+      send(bytes);
     }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) {
+    helpers.emplace_back(capture_and_frame, t);
   }
-  producer.join();
+  capture_and_frame(0);
+  for (std::thread& helper : helpers) helper.join();
 
-  if (writer.status() == net::IoStatus::kOk) {
-    net::DonePayload done;
-    done.worker = assign.worker;
-    done.produced = produced;
-    net::FrameWriter::append_done(writer.buffer(), done);
-    (void)writer.flush();
-  }
+  std::vector<std::uint8_t> done_frame;
+  net::DonePayload done;
+  done.worker = assign.worker;
+  for (const std::uint64_t n : produced) done.produced += n;
+  net::FrameWriter::append_done(done_frame, done);
+  send(done_frame);
 }
 
 // Child-process entry: wait for kAssign frames (a spare may wait a long
@@ -109,7 +108,8 @@ void run_worker_assignment(const FleetConfig& config,
     const FleetConfig& config,
     const std::vector<std::vector<std::uint32_t>>& parts, net::Fd conn) {
   net::FrameParser parser;
-  std::uint32_t seq = 0;
+  // Span sequence numbers: unique per connection, ascending within a site.
+  std::atomic<std::uint32_t> seq{0};
   std::uint8_t chunk[4096];
   for (;;) {
     while (auto frame = parser.next()) {
@@ -238,6 +238,10 @@ struct FleetCoordinator::Slot {
   // dead worker's.
   std::atomic<bool> closed{false};
   net::FrameParser parser;  // reader-thread confined
+  // schedule_kill: SIGKILL this worker when its kill_after_spans-th span is
+  // parsed (0 = never). Set before the aggregator threads start.
+  std::uint64_t kill_after_spans = 0;
+  std::uint64_t spans_parsed = 0;  // reader-thread confined
 };
 
 // Per-aggregator-thread tallies, merged after join (no shared counters on
@@ -247,6 +251,7 @@ struct FleetCoordinator::ThreadTally {
   std::uint64_t frames = 0;
   std::uint64_t truncated_tails = 0;
   std::uint64_t frame_errors = 0;
+  std::uint64_t workers_killed = 0;
   core::StreamingEncodeStats enc;
   std::vector<std::uint64_t> latencies;
 };
@@ -268,9 +273,21 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
 
 FleetCoordinator::~FleetCoordinator() = default;
 
-void FleetCoordinator::schedule_kill(std::size_t worker, int after_ms) {
+void FleetCoordinator::schedule_kill(std::size_t worker,
+                                     std::uint64_t after_spans) {
   PSNT_CHECK(worker < config_.workers, "kill target must be a primary slot");
-  kills_.push_back(KillPlan{worker, after_ms, false});
+  PSNT_CHECK(after_spans > 0, "a kill needs a span count of at least 1");
+  kills_.push_back(KillPlan{worker, after_spans});
+}
+
+std::size_t FleetCoordinator::capture_threads(const FleetConfig& config,
+                                              std::size_t sites,
+                                              std::size_t hardware_threads) {
+  const std::size_t free_cpus =
+      hardware_threads > config.aggregator_threads
+          ? hardware_threads - config.aggregator_threads
+          : 0;
+  return std::max<std::size_t>(1, std::min(sites, free_cpus / config.workers));
 }
 
 void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
@@ -308,7 +325,10 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
       }
       slot->parser.feed(chunk.data(), got);
       double last_latency_us = 0.0;
-      while (auto frame = slot->parser.next()) {
+      bool killed = false;
+      while (!killed) {
+        const auto frame = slot->parser.next();
+        if (!frame) break;
         ++tally.frames;
         if (frame->type == net::FrameType::kDone) {
           net::DonePayload done;
@@ -380,9 +400,17 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
           }
           store->ingest_span_locked(span_records.data(), accepted);
         }
+        if (++slot->spans_parsed == slot->kill_after_spans) {
+          // The connection counts as cut right behind this span: bytes the
+          // worker had already sent are dropped unread, so the kill lands
+          // mid-stream even when the worker finished sending first.
+          ::kill(slot->pid, SIGKILL);
+          ++tally.workers_killed;
+          killed = true;
+        }
       }
-      if (slot->parser.failed()) {
-        ++tally.frame_errors;
+      if (killed || slot->parser.failed()) {
+        if (!killed) ++tally.frame_errors;
         slot->closed.store(true, std::memory_order_release);
       }
     }
@@ -400,7 +428,6 @@ FleetResult FleetCoordinator::run() {
   ran_ = true;
 
   FleetResult result;
-  result.matrix = SampleMatrix(config_.sites, config_.samples_per_site);
   result.samples_expected =
       static_cast<std::uint64_t>(config_.sites) * config_.samples_per_site;
 
@@ -433,6 +460,9 @@ FleetResult FleetCoordinator::run() {
     slots_[s]->pid = pid;
     slots_[s]->child_end.reset();
   }
+  for (const KillPlan& kill : kills_) {
+    slots_[kill.worker]->kill_after_spans = kill.after_spans;
+  }
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -449,6 +479,11 @@ FleetResult FleetCoordinator::run() {
       slots_[w]->assigned = static_cast<int>(w);
     }
   }
+
+  // The matrix is built after the forks, so no child maps its pages and the
+  // aggregators' first writes take no copy-on-write faults, and after the
+  // assignments, so the workers capture while its pages are zeroed.
+  result.matrix = SampleMatrix(config_.sites, config_.samples_per_site);
 
   // 3) Aggregator threads: connections sharded round-robin across threads
   //    (a thread may own several connections; a connection is owned by
@@ -467,24 +502,14 @@ FleetResult FleetCoordinator::run() {
     });
   }
 
-  // 4) Coordinator loop: fire scheduled kills, restart dead assignments
-  //    onto spares, finish when every logical worker is done or lost.
+  // 4) Coordinator loop: restart dead assignments onto spares, finish when
+  //    every logical worker is done or lost. Scheduled kills fire in the
+  //    aggregator thread that reads the victim's connection.
   std::vector<std::uint8_t> handled(total_slots, 0);
   std::vector<std::uint8_t> logical_lost(config_.workers, 0);
   std::size_t next_spare = config_.workers;
   result.completed = false;
   for (;;) {
-    const std::int64_t elapsed = elapsed_ms_since(t0);
-    for (KillPlan& kill : kills_) {
-      if (kill.fired || elapsed < kill.after_ms) continue;
-      kill.fired = true;
-      Slot& victim = *slots_[kill.worker];
-      if (victim.pid > 0 && !victim.closed.load(std::memory_order_acquire)) {
-        ::kill(victim.pid, SIGKILL);
-        ++result.workers_killed;
-      }
-    }
-
     for (std::size_t s = 0; s < total_slots; ++s) {
       Slot& slot = *slots_[s];
       if (handled[s] || !slot.closed.load(std::memory_order_acquire)) continue;
@@ -536,7 +561,7 @@ FleetResult FleetCoordinator::run() {
       result.completed = true;
       break;
     }
-    if (elapsed > config_.run_deadline_ms) break;  // wedge guard
+    if (elapsed_ms_since(t0) > config_.run_deadline_ms) break;  // wedge guard
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -585,6 +610,7 @@ FleetResult FleetCoordinator::run() {
     result.frames += tally.frames;
     result.truncated_tails += tally.truncated_tails;
     result.frame_errors += tally.frame_errors;
+    result.workers_killed += tally.workers_killed;
     result.enc.words += tally.enc.words;
     result.enc.underflows += tally.enc.underflows;
     result.enc.overflows += tally.enc.overflows;

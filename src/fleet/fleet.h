@@ -3,10 +3,12 @@
 // The paper's instrument is distributed — many sensor sites feeding one
 // readout chain — and this layer takes the scan grid's capture/encode split
 // across process boundaries: N forked worker processes each own a shard of
-// the floorplan (fleet::PartitionPolicy), run deterministic captures into a
-// grid::SpscRing, and a bridge loop batches the ring's RawSamples into
-// framed spans over a net::BufferedWriter (explicit flush when the ring goes
-// idle). The parent merges every worker stream in its aggregator threads:
+// the floorplan (fleet::PartitionPolicy). Inside a worker, K
+// capture-and-frame threads (capture_threads()) each own whole sites of the
+// shard: a thread captures a site, frames it into spans in its own buffer
+// and sends the buffer under one per-connection mutex at flush_threshold
+// bytes and at the end of the site, so frames never interleave on the
+// socket. The parent merges every worker stream in its aggregator threads:
 // parse → CRC check → decode samples in place → one drain pass (ENC via
 // core::StreamingEncoder, voltage via the shared core::DecodeLadder) feeding
 // the serve::TelemetryStore.
@@ -15,8 +17,9 @@
 //   A site's capture sequence is a pure function of (seed, site, sample) —
 //   the same site_rng stream and paper engine the in-process reference uses
 //   — so a fleet run is bit-identical in decoded words to run_in_process()
-//   over the same config, at any worker count and any aggregator thread
-//   count (tests/test_fleet.cpp pins 1/2/8). The same purity is what makes
+//   over the same config, at any worker count, capture thread count and
+//   aggregator thread count (tests/test_fleet.cpp pins 1/2/8 aggregators
+//   and a multi-threaded worker). The same purity is what makes
 //   worker restart trivial: a spare re-runs the dead worker's whole
 //   assignment and overwrites any slots the original already delivered with
 //   identical values.
@@ -36,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/measure_engine.h"
@@ -70,9 +74,10 @@ struct FleetConfig {
   PartitionPolicy partition;
 
   // --- transport ---------------------------------------------------------
-  std::size_t span_samples = 64;       // RawSamples per kSampleSpan frame
-  std::size_t ring_capacity = 1024;    // worker capture→bridge ring
-  std::size_t flush_threshold = 16 * 1024;  // BufferedWriter batch bytes
+  std::size_t span_samples = 64;  // RawSamples per kSampleSpan frame
+  // Bytes a worker capture thread frames before it sends (it also sends at
+  // the end of every site).
+  std::size_t flush_threshold = 16 * 1024;
   int io_deadline_ms = 5000;
   // Abort guard for the whole run (worker wedge / protocol bug).
   int run_deadline_ms = 120000;
@@ -151,9 +156,19 @@ class FleetCoordinator {
   // happen before the aggregator threads start). Callable once.
   FleetResult run();
 
-  // Arms a SIGKILL of primary worker slot `worker` roughly `after_ms` into
-  // the run (fired from the coordinator loop). Call before run().
-  void schedule_kill(std::size_t worker, int after_ms);
+  // Arms a SIGKILL of primary worker slot `worker`, fired by the aggregator
+  // thread reading its connection when it parses that worker's
+  // `after_spans`-th span (after_spans >= 1). Everything behind that span on
+  // the connection is dropped unread, so the kill lands mid-stream however
+  // fast the worker is. Call before run().
+  void schedule_kill(std::size_t worker, std::uint64_t after_spans);
+
+  // Capture-and-frame threads per worker for an assignment of `sites`
+  // sites: max(1, min(sites, (hardware_threads - aggregator_threads) /
+  // workers)) — the CPUs the aggregators leave, split over the workers.
+  [[nodiscard]] static std::size_t capture_threads(
+      const FleetConfig& config, std::size_t sites,
+      std::size_t hardware_threads = std::thread::hardware_concurrency());
 
   // The in-process reference: identical engines, identical schedule, no
   // processes — the right-hand side of the conformance requirement.
@@ -192,8 +207,7 @@ class FleetCoordinator {
   std::atomic<bool> stop_{false};
   struct KillPlan {
     std::size_t worker = 0;
-    int after_ms = 0;
-    bool fired = false;
+    std::uint64_t after_spans = 0;
   };
   std::vector<KillPlan> kills_;
   bool ran_ = false;

@@ -238,28 +238,6 @@ IoStatus wait_readable(const Fd& fd, int deadline_ms) {
   return poll_one(fd.get(), POLLIN, deadline_ms);
 }
 
-IoStatus BufferedWriter::append(const std::uint8_t* data, std::size_t size) {
-  if (status_ != IoStatus::kOk) return status_;
-  buffer_.insert(buffer_.end(), data, data + size);
-  if (buffer_.size() >= flush_threshold_) return flush();
-  return IoStatus::kOk;
-}
-
-IoStatus BufferedWriter::flush() {
-  if (status_ != IoStatus::kOk) return status_;
-  if (buffer_.empty()) return IoStatus::kOk;
-  const IoStatus st =
-      send_all(fd_, buffer_.data(), buffer_.size(), deadline_ms_);
-  if (st != IoStatus::kOk) {
-    status_ = st;
-    return st;
-  }
-  bytes_sent_ += buffer_.size();
-  ++flushes_;
-  buffer_.clear();
-  return IoStatus::kOk;
-}
-
 std::uint64_t monotonic_ns() {
   struct timespec ts{};
   (void)::clock_gettime(CLOCK_MONOTONIC, &ts);

@@ -8,17 +8,15 @@
 // which is exactly the shape the resilience layer already knows how to
 // recover from (fault::FaultKind::kHungSite).
 //
-// BufferedWriter is the ring→socket bridge's send half: frames accumulate in
-// a user-space buffer and go to the kernel in batches, either when the
-// buffer crosses `flush_threshold` or on an explicit flush() (the Nagle-free
-// "batch while busy, flush when idle" send discipline).
+// Batching is the caller's: a fleet worker thread frames spans into its own
+// byte buffer and hands the whole buffer to send_all, under a mutex when
+// several threads share one connection.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace psnt::net {
 
@@ -87,39 +85,6 @@ class Fd {
                                  std::size_t& out_read);
 // Blocks until the fd is readable or the deadline expires.
 [[nodiscard]] IoStatus wait_readable(const Fd& fd, int deadline_ms);
-
-// Batched, explicit-flush socket writer (see file comment). Not
-// thread-safe; one writer per connection.
-class BufferedWriter {
- public:
-  explicit BufferedWriter(const Fd& fd, std::size_t flush_threshold = 16384,
-                          int deadline_ms = 5000)
-      : fd_(fd), flush_threshold_(flush_threshold), deadline_ms_(deadline_ms) {
-    buffer_.reserve(flush_threshold);
-  }
-
-  // Appends bytes; auto-flushes once the buffer reaches the threshold. The
-  // first failed flush latches into status() and drops further writes (the
-  // peer is gone; the caller decides what that means).
-  IoStatus append(const std::uint8_t* data, std::size_t size);
-  // Direct access for FrameWriter::append_* composition.
-  [[nodiscard]] std::vector<std::uint8_t>& buffer() { return buffer_; }
-  // Sends everything buffered now. No-op on an empty buffer.
-  IoStatus flush();
-
-  [[nodiscard]] IoStatus status() const { return status_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
-
- private:
-  const Fd& fd_;
-  std::size_t flush_threshold_;
-  int deadline_ms_;
-  std::vector<std::uint8_t> buffer_;
-  IoStatus status_ = IoStatus::kOk;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t flushes_ = 0;
-};
 
 // CLOCK_MONOTONIC in nanoseconds — comparable across processes on one host,
 // the timestamp domain of wire::SpanHeader::send_ns.

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "net/crc32_clmul.h"
+
 namespace psnt::net {
 
 namespace {
@@ -142,6 +144,11 @@ const char* to_string(WireError error) {
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   const auto& t = crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
+  // Inputs of 64 bytes and up fold 16-byte blocks with PCLMULQDQ where the
+  // build and the CPU have it; the tables finish the last 0–15 bytes.
+  const std::size_t folded = crc32_clmul_prefix(c, data, size);
+  data += folded;
+  size -= folded;
   // Eight bytes per step: the first word absorbs the running CRC, then each
   // byte indexes the table that shifts it past the bytes after it.
   for (; size >= 8; data += 8, size -= 8) {

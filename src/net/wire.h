@@ -84,8 +84,10 @@ inline constexpr std::size_t kMaxPayloadBytes = 1u << 20;
 //   | u8 target | u8 code | u8 word_width | u32 word_bits
 inline constexpr std::size_t kSampleWireBytes = 23;
 
-// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes: slicing-by-8,
-// byte-identical to the table-per-byte form.
+// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes: a PCLMULQDQ
+// fold of 16-byte blocks where the build and CPU carry it (net/crc32_clmul.h),
+// slicing-by-8 for the rest and for inputs under 64 bytes; byte-identical to
+// the table-per-byte form either way.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 // --- sample codec ---------------------------------------------------------

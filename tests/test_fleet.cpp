@@ -2,7 +2,8 @@
 //
 // The conformance requirement: a multi-process fleet run is bit-identical in
 // decoded words to the same sites captured in-process — at 1, 2 and 8
-// aggregator threads, and still when a worker is SIGKILLed mid-run and its
+// aggregator threads, with several capture threads in one worker, and still
+// when a worker is SIGKILLed mid-run (after its N-th span) and its
 // assignment re-run on a pre-forked spare. With no spare left, the loss is
 // counted and mirrored into the serving layer's degradation status.
 #include <gtest/gtest.h>
@@ -109,24 +110,23 @@ TEST(Fleet, RoundRobinPartitionIsStillBitIdentical) {
 
 TEST(Fleet, KilledWorkerIsRestartedOnASpareBitIdentically) {
   auto config = small_config();
-  // Big enough that worker 1 cannot finish its assignment before the kill
-  // lands (a 600-sample run completed in under 5 ms on a fast box and the
-  // kill found the worker already gone).
-  config.samples_per_site = 20000;
+  // Worker 1 owns 3 sites × 600 samples: 29 spans of 64, so a kill after
+  // its 5th span lands mid-stream.
+  config.samples_per_site = 600;
   config.span_samples = 64;
   config.spares = 1;
   config.aggregator_threads = 2;
 
   FleetCoordinator fleet(config);
-  fleet.schedule_kill(1, /*after_ms=*/2);
+  fleet.schedule_kill(1, /*after_spans=*/5);
   const auto result = fleet.run();
 
   EXPECT_TRUE(result.completed);
-  ASSERT_EQ(result.workers_killed, 1u)
-      << "kill landed after the assignment finished; grow samples_per_site";
-  // Whether the kill landed before or after the worker's kDone, the matrix
-  // must be complete and bit-identical: a spare re-runs the deterministic
-  // assignment and overwrites any already-delivered slots with equal values.
+  ASSERT_EQ(result.workers_killed, 1u);
+  EXPECT_EQ(result.workers_restarted, 1u);
+  // The matrix must be complete and bit-identical: a spare re-runs the
+  // deterministic assignment and overwrites the slots the dead worker
+  // already delivered with equal values.
   EXPECT_EQ(result.assignments_lost, 0u);
   EXPECT_EQ(result.samples_lost, 0u);
   EXPECT_EQ(result.frame_errors, 0u);
@@ -136,8 +136,8 @@ TEST(Fleet, KilledWorkerIsRestartedOnASpareBitIdentically) {
 
 TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   auto config = small_config();
-  // Big enough that worker 0 cannot outrun a kill scheduled a few ms in.
-  config.samples_per_site = 20000;
+  // Worker 0 owns 3 sites × 600 samples: 29 spans of 64.
+  config.samples_per_site = 600;
   config.span_samples = 64;
   config.spares = 0;
   config.store = std::make_shared<serve::TelemetryStore>([&] {
@@ -148,14 +148,16 @@ TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   }());
 
   FleetCoordinator fleet(config);
-  fleet.schedule_kill(0, /*after_ms=*/2);
+  fleet.schedule_kill(0, /*after_spans=*/5);
   const auto result = fleet.run();
 
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.workers_killed, 1u);
   EXPECT_EQ(result.workers_restarted, 0u);
-  ASSERT_GT(result.samples_lost, 0u) << "kill landed after the assignment "
-                                        "finished; grow samples_per_site";
+  // Exactly the first 5 spans of worker 0 were delivered. A site is 10
+  // spans (9 full, the 24-sample tail last) and fits under flush_threshold,
+  // so the first send holds one whole site and those are 5 full spans.
+  EXPECT_EQ(result.samples_valid, 5u * 600u + 5u * 64u);
   EXPECT_EQ(result.assignments_lost, 1u);
   EXPECT_EQ(result.samples_valid + result.samples_lost,
             result.samples_expected);
@@ -221,18 +223,10 @@ serve::HistogramSketch voltage_sketch(const serve::TelemetryStore& store) {
   return merged;
 }
 
-// A store-attached fleet decodes each span with one decode_span and ingests
-// it with one ingest_span_locked. Each site's samples arrive in capture
-// order on one connection, so its store state equals a per-record ingest of
-// the in-process capture, at any aggregator thread count. Latencies are
-// wall times and the shard-wide Welford stats depend on how aggregator
-// threads interleave, so only the voltage sketch's buckets are compared at
-// shard level.
-TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
-  auto config = small_config();
-  config.samples_per_site = 200;  // several windows rotate per site
-
-  serve::TelemetryStore reference{fleet_store_config(config.sites)};
+// Per-record ingest of the in-process capture: the store state a fleet run
+// must reproduce.
+void ingest_in_process_capture(const FleetConfig& config,
+                               serve::TelemetryStore& into) {
   const core::DecodeLadder ladder =
       calib::make_paper_decode_ladder(calib::calibrated().model);
   std::vector<core::RawSample> capture;
@@ -248,16 +242,33 @@ TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
       rec.timestamp = sample.timestamp;
       rec.volts = bin.estimate().value();
       rec.in_range = bin.in_range();
-      reference.ingest(rec);
+      into.ingest(rec);
     }
   }
-  reference.publish_all();
+  into.publish_all();
+}
+
+// Runs a store-attached fleet at 1 and 2 aggregator threads and holds its
+// matrix to run_in_process and its store — every site snapshot, the
+// voltage sketch's buckets, the top-k — to the per-record reference.
+// Latencies are wall times and the shard-wide Welford stats depend on how
+// aggregator threads interleave, so only the voltage sketch's buckets are
+// compared at shard level.
+void expect_store_attached_runs_match_reference(const FleetConfig& config) {
+  serve::TelemetryStore reference{fleet_store_config(config.sites)};
+  ingest_in_process_capture(config, reference);
   const serve::QueryEngine want(reference);
+  const SampleMatrix want_matrix = FleetCoordinator::run_in_process(config);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(std::to_string(threads) + " aggregator threads");
     auto run_config = config;
     run_config.aggregator_threads = threads;
+    const std::size_t largest_part =
+        config.partition.shard(config.sites, config.workers).front().size();
+    SCOPED_TRACE(std::to_string(threads) + " aggregator threads, up to " +
+                 std::to_string(FleetCoordinator::capture_threads(
+                     run_config, largest_part)) +
+                 " capture threads per worker");
     run_config.store = std::make_shared<serve::TelemetryStore>(
         fleet_store_config(config.sites));
     FleetCoordinator fleet(run_config);
@@ -265,8 +276,7 @@ TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
     ASSERT_TRUE(result.completed);
     ASSERT_EQ(result.samples_valid, result.samples_expected);
     EXPECT_EQ(result.frame_errors, 0u);
-    EXPECT_TRUE(
-        result.matrix.identical_to(FleetCoordinator::run_in_process(config)));
+    EXPECT_TRUE(result.matrix.identical_to(want_matrix));
 
     const serve::QueryEngine got(*run_config.store);
     EXPECT_EQ(got.ingested(), result.samples_expected);
@@ -290,6 +300,57 @@ TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
       EXPECT_EQ(got_top[i].droop, want_top[i].droop);
     }
   }
+}
+
+// A store-attached fleet decodes each span with one decode_span and ingests
+// it with one ingest_span_locked. Each site's samples arrive in capture
+// order on one connection, so its store state equals a per-record ingest of
+// the in-process capture, at any aggregator thread count.
+TEST(Fleet, StoreMatchesPerRecordIngestOfInProcessCapture) {
+  auto config = small_config();
+  config.samples_per_site = 200;  // several windows rotate per site
+  expect_store_attached_runs_match_reference(config);
+}
+
+// One worker owns every site, so it runs capture_threads() > 1 capture
+// threads on any host with 2 or more CPUs beyond the aggregators. 13 sites
+// (prime) split unevenly over any K from 2 to 12, 150 samples leave a
+// partial tail span of 32, and a small flush_threshold makes each site
+// several sends that interleave with the other threads' sends.
+TEST(Fleet, MultiThreadWorkerMatchesInProcess) {
+  FleetConfig config;
+  config.sites = 13;
+  config.samples_per_site = 150;
+  config.seed = 4242;
+  config.workers = 1;
+  config.spares = 0;
+  config.span_samples = 32;
+  config.flush_threshold = 2048;
+  expect_store_attached_runs_match_reference(config);
+}
+
+// K = max(1, min(sites, (hardware - aggregators) / workers)).
+TEST(Fleet, CaptureThreadsSplitFreeCpusOverWorkers) {
+  FleetConfig config;
+  config.workers = 1;
+  config.aggregator_threads = 1;
+  // perfbench fleet_stream (1 worker, 16 sites) on a 4-CPU host.
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 16, 4), 3u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 2, 4), 2u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 16, 1), 1u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 0, 8), 1u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 16, 0), 1u);
+
+  config.workers = 3;
+  config.aggregator_threads = 2;
+  // bench_fleet_soak and fleet_monitor (3 workers, 2 aggregators).
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 4, 4), 1u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 4, 11), 3u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 4, 16), 4u);
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 4, 64), 4u);
+
+  config.aggregator_threads = 8;
+  EXPECT_EQ(FleetCoordinator::capture_threads(config, 4, 4), 1u);
 }
 
 // --- matrix predicate ------------------------------------------------------

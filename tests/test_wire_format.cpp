@@ -90,13 +90,14 @@ TEST(WireCrc, KnownAnswers) {
 }
 
 TEST(WireCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  // Every length 0–80 from every start offset 0–7 covers each split into
-  // 8-byte steps plus a 0–7 byte tail, at every alignment.
+  // Every length 0–300 from every start offset 0–15 covers each split into
+  // 64-byte folds, 16-byte folds, 8-byte table steps and a 0–7 byte tail,
+  // at every alignment of a 16-byte load.
   stats::Xoshiro256 rng(2718);
-  std::vector<std::uint8_t> buffer(8 + 80);
+  std::vector<std::uint8_t> buffer(16 + 300);
   for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 80; ++length) {
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
       const std::uint8_t* data = buffer.data() + offset;
       ASSERT_EQ(crc32(data, length), reference_crc32(data, length))
           << "offset " << offset << " length " << length;
